@@ -1,7 +1,7 @@
 (* Benchmark harness.
 
    Two parts:
-   1. the registered experiment suite (E1-E22, Experiments.registry): the
+   1. the registered experiment suite (E1-E23, Experiments.registry): the
       paper is a theory result, so its claims are regenerated empirically —
       tables and figures on stdout, optionally a schema-versioned JSON
       suite document (see DESIGN.md section 5 / EXPERIMENTS.md);
@@ -117,11 +117,10 @@ let make_micro_tests () =
              (arun.Ba_experiments.Setups.arun_exec ~max_steps:2048 ~inputs ~seed:!seed ())
                .Ba_sim.Run.span))
   in
-  (* The same workload through the batched mailbox-draining path (fifo is
-     order-insensitive, so the engine drains whole per-node mailboxes per
-     activation instead of popping one message per step — DESIGN.md
-     section 15). The ratio to engine/async-step isolates the actor-runtime
-     win over the per-step scheduler loop. *)
+  (* The same workload under the fifo scheduler, which also runs on the
+     engine's pure-scheduler loop (DESIGN.md section 15). The name predates
+     the removal of the batched path and is kept so the committed baseline
+     still gates it. *)
   let engine_async_step_batched =
     let n = 16 and t = 3 in
     let arun =
@@ -222,7 +221,7 @@ let run_micro ~quota_ms =
    round) are allocation- and scheduler-noisy in a way the ns-scale micros
    are not, so they get looser gates than the global default. The slab
    engine cut engine/async-step's per-run allocation enough to tighten its
-   gate from 6.0 toward the 3.0 default; the batched variants inherit the
+   gate from 6.0 toward the 3.0 default; the other async runs inherit the
    same bound. *)
 let micro_tolerances =
   [ ("engine/async-step", 4.0); ("engine/async-step-batched", 4.0);
@@ -244,37 +243,53 @@ let write_micro_json ~path measured =
       Out_channel.output_char oc '\n');
   Printf.printf "wrote %s\n%!" path
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let has flag = List.mem flag args in
-  let quick = not (has "--full") in
-  let find_value flag fallback parse =
-    let rec find = function
-      | f :: v :: _ when f = flag -> parse v
-      | _ :: rest -> find rest
-      | [] -> fallback
-    in
-    find args
-  in
-  let seed = find_value "--seed" 2026L Int64.of_string in
-  let json_path = find_value "--json" None (fun v -> Some v) in
-  let quota_ms = find_value "--quota-ms" 500 int_of_string in
-  let domains = find_value "--domains" 1 int_of_string in
+let main full micro_only experiments_only quota_ms json_path seed domains =
   if quota_ms <= 0 then begin
     prerr_endline "bench: --quota-ms must be > 0";
-    exit 2
-  end;
-  if domains <= 0 then begin
+    2
+  end
+  else if domains <= 0 then begin
     prerr_endline "bench: --domains must be > 0";
-    exit 2
-  end;
-  if has "--micro-only" then begin
-    let measured = run_micro ~quota_ms in
-    match json_path with None -> () | Some path -> write_micro_json ~path measured
+    2
   end
   else begin
-    if not (has "--experiments-only") then ignore (run_micro ~quota_ms : (string * float) list);
-    Printf.printf "\n== experiment suite (%s profile, seed %Ld) ==\n%!"
-      (if quick then "quick" else "full") seed;
-    run_experiments ~quick ~seed ~domains ~json_path
+    if micro_only then begin
+      let measured = run_micro ~quota_ms in
+      match json_path with None -> () | Some path -> write_micro_json ~path measured
+    end
+    else begin
+      let quick = not full in
+      if not experiments_only then ignore (run_micro ~quota_ms : (string * float) list);
+      Printf.printf "\n== experiment suite (%s profile, seed %Ld) ==\n%!"
+        (if quick then "quick" else "full") seed;
+      run_experiments ~quick ~seed ~domains ~json_path
+    end;
+    0
   end
+
+let cmd =
+  let open Cmdliner in
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let full = flag "full" "Full-size experiments (default: the quick profile)."
+  and micro_only = flag "micro-only" "Run only the Bechamel micro-benchmarks."
+  and experiments_only = flag "experiments-only" "Run only the experiment suite."
+  and quota_ms =
+    Arg.(value & opt int 500
+         & info [ "quota-ms" ] ~docv:"MS" ~doc:"Bechamel time quota per micro-benchmark.")
+  and json_path =
+    Arg.(value & opt (some string) None
+         & info [ "json" ] ~docv:"PATH"
+             ~doc:"Write the micro baseline (with $(b,--micro-only)) or the experiment \
+                   suite document to PATH.")
+  and seed =
+    Arg.(value & opt int64 2026L & info [ "seed" ] ~docv:"SEED" ~doc:"Experiment suite seed.")
+  and domains =
+    Arg.(value & opt int 1
+         & info [ "domains" ] ~docv:"K" ~doc:"OCaml domains for the experiment suite.")
+  in
+  Cmd.v
+    (Cmd.info "bench" ~doc:"micro-benchmarks and the registered experiment suite")
+    Term.(
+      const main $ full $ micro_only $ experiments_only $ quota_ms $ json_path $ seed $ domains)
+
+let () = exit (Cmdliner.Cmd.eval' cmd)

@@ -62,12 +62,6 @@ let max_delay_arg =
        & info [ "max-delay" ] ~docv:"STEPS"
            ~doc:"Fairness bound: oldest pending message is forced after STEPS steps.")
 
-let domains_arg =
-  Arg.(value & opt int 1
-       & info [ "domains" ] ~docv:"D"
-           ~doc:"Shard batched benign delivery across D OCaml domains (fifo/delayer \
-                 schedulers; outcomes are byte-identical at any value).")
-
 let drop_arg =
   Arg.(value & opt float 0.0
        & info [ "drop" ] ~docv:"P" ~doc:"Benign fault injection: per-link message drop probability.")
@@ -140,8 +134,8 @@ let trial_json ~seed (ro : Ba_sim.Run.outcome) violations =
               Ba_harness.Json.String (Format.asprintf "%a" Ba_trace.Checker.pp_violation v))
             violations)) ]
 
-let run protocol scheduler n t broadcaster victims seed trials max_steps max_delay domains drop
-    duplicate corrupt silences json_path =
+let run protocol scheduler n t broadcaster victims seed trials max_steps max_delay drop duplicate
+    corrupt silences json_path =
   let t =
     match t with
     | Some t -> t
@@ -166,11 +160,6 @@ let run protocol scheduler n t broadcaster victims seed trials max_steps max_del
       fs_silences = silences }
   in
   let injecting = faults <> Ba_experiments.Setups.no_faults in
-  if domains < 1 then begin
-    Format.eprintf "error: --domains must be >= 1@.";
-    1
-  end
-  else
   match
     (fun () ->
       Ba_experiments.Setups.make_async
@@ -195,9 +184,7 @@ let run protocol scheduler n t broadcaster victims seed trials max_steps max_del
       for i = 1 to trials do
         let s = Int64.add seed (Int64.of_int i) in
         let ro =
-          arun.Ba_experiments.Setups.arun_exec ?max_steps ?max_delay
-            ~sharder:(Ba_experiments.Setups.sharder_of ~domains)
-            ~inputs ~seed:s ()
+          arun.Ba_experiments.Setups.arun_exec ?max_steps ?max_delay ~inputs ~seed:s ()
         in
         pp_outcome ro;
         let violations = Ba_trace.Checker.standard_run ~allow_faults:injecting ro in
@@ -231,7 +218,7 @@ let cmd =
   Cmd.v (Cmd.info "ba_async_run" ~doc)
     Term.(
       const run $ protocol_arg $ scheduler_arg $ n_arg $ t_arg $ broadcaster_arg $ victim_arg
-      $ seed_arg $ trials_arg $ max_steps_arg $ max_delay_arg $ domains_arg $ drop_arg
-      $ duplicate_arg $ corrupt_arg $ silence_arg $ json_arg)
+      $ seed_arg $ trials_arg $ max_steps_arg $ max_delay_arg $ drop_arg $ duplicate_arg
+      $ corrupt_arg $ silence_arg $ json_arg)
 
 let () = exit (Cmd.eval' cmd)

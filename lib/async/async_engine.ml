@@ -105,7 +105,7 @@ let validate ~n ~t ~inputs =
     (fun b -> if b <> 0 && b <> 1 then invalid_arg "Async_engine.run: inputs must be 0/1")
     inputs
 
-let run ?max_steps ?max_delay ?faults ?trace ?sharder
+let run ?max_steps ?max_delay ?faults ?trace
     ~(protocol : ('state, 'msg) protocol) ~(adversary : ('state, 'msg) adversary) ~n ~t
     ~inputs ~seed () =
   validate ~n ~t ~inputs;
@@ -130,8 +130,8 @@ let run ?max_steps ?max_delay ?faults ?trace ?sharder
   let states = Array.make n None in
   (* Decisions are sticky (the protocol contract: [output] is "decided
      value, once set"), so completion can be tracked incrementally instead
-     of scanning every node after every delivery. The benign fast paths
-     below rely on this; the opaque path keeps the legacy full scan. *)
+     of scanning every node after every delivery. The pure-scheduler loop
+     below relies on this; the opaque path keeps the legacy full scan. *)
   let decided = Array.make n false in
   let decided_count = ref 0 in
   let note_decided v st =
@@ -140,14 +140,12 @@ let run ?max_steps ?max_delay ?faults ?trace ?sharder
       incr decided_count
     end
   in
-  (* [at] is the scheduler step the enqueue semantically happens at: the
-     current step on the serial paths, the per-position step during a
-     batched commit. Silence windows are indexed by it. *)
-  let enqueue_at ~src ~at sends =
+  (* Silence windows are indexed by the current scheduler step. *)
+  let enqueue ~src sends =
     if not corrupted.(src) then begin
       let silent =
         match faults with
-        | Some inst -> Ba_sim.Faults.silenced inst ~node:src ~round:at
+        | Some inst -> Ba_sim.Faults.silenced inst ~node:src ~round:!step
         | None -> false
       in
       List.iter
@@ -156,13 +154,12 @@ let run ?max_steps ?max_delay ?faults ?trace ?sharder
             if silent then begin
               Ba_sim.Metrics.record_crash_silence metrics;
               emit (Ba_sim.Run.Fault
-                      { index = at; kind = Ba_sim.Run.Silence; src; dst = to_ })
+                      { index = !step; kind = Ba_sim.Run.Silence; src; dst = to_ })
             end
-            else ignore (Mailbox.enqueue mb ~src ~dst:to_ ~birth:at payload : int))
+            else ignore (Mailbox.enqueue mb ~src ~dst:to_ ~birth:!step payload : int))
         sends
     end
   in
-  let enqueue ~src sends = enqueue_at ~src ~at:!step sends in
   for v = 0 to n - 1 do
     let st, sends = protocol.init (ctx_of v) ~input:inputs.(v) in
     states.(v) <- Some st;
@@ -350,11 +347,11 @@ let run ?max_steps ?max_delay ?faults ?trace ?sharder
         step := max_steps
     done
   in
-  (* ---- Serial fast path for the declared pure-scheduler policies: no
-     view materialization, no per-step full scans; the policy's PRNG draws
-     are replayed exactly as [act_of_policy] would make them (draw first,
-     bounded-delay override after, matching the act-then-override order of
-     the generic loop). ---- *)
+  (* ---- Pure-scheduler loop, for every declared policy, traced or not:
+     no view materialization, no per-step full scans; the policy's PRNG
+     draws are replayed exactly as [act_of_policy] would make them (draw
+     first, bounded-delay override after, matching the act-then-override
+     order of the generic loop). ---- *)
   let serial_fast () =
     let pick =
       match adversary.policy with
@@ -387,210 +384,9 @@ let run ?max_steps ?max_delay ?faults ?trace ?sharder
       end
     done
   in
-  (* ---- Batched path (fifo / delayer, no trace): plan a run of picks
-     from the current queue, pre-draw their link faults in plan order,
-     drain each destination's whole mailbox chain in one activation
-     (optionally sharded across domains — destinations are independent:
-     a domain only reads the immutable plan and writes its own
-     destinations' result cells), then commit serially in plan order.
-     Commit is where ids, metering, silence checks and state writes
-     happen, at each position's own step number, so the result is
-     byte-identical to the serial loop; a mid-batch completion stops the
-     commit and discards the uncommitted tail exactly as the serial loop
-     would never have executed it (the overshot fault/node PRNG draws are
-     unobservable — the run ends). See DESIGN.md section 15. ---- *)
-  let batched () =
-    let cap = ref 0 in
-    let p_src = ref [||]
-    and p_dst = ref [||]
-    and p_drop = ref [||]
-    and p_mut = ref [||]
-    and p_dup = ref [||]
-    and p_msg = ref [||]
-    and p_next = ref [||]
-    and r_state = ref [||]
-    and r_sends = ref [||] in
-    let dhead = Array.make n (-1) in
-    let dtail = Array.make n (-1) in
-    let ensure len filler_msg filler_state =
-      if len > !cap then begin
-        let c = max 64 (max len (2 * !cap)) in
-        p_src := Array.make c 0;
-        p_dst := Array.make c 0;
-        p_drop := Array.make c false;
-        p_mut := Array.make c false;
-        p_dup := Array.make c false;
-        p_msg := Array.make c filler_msg;
-        p_next := Array.make c (-1);
-        r_state := Array.make c filler_state;
-        r_sends := Array.make c [];
-        cap := c
-      end
-    in
-    let victim =
-      match adversary.policy with Avoid_srcs vs -> Some (victims_of vs) | _ -> None
-    in
-    while (not !completed) && !step < max_steps do
-      let h0 = Mailbox.head mb in
-      if h0 = -1 then step := max_steps
-      else begin
-        let s0 = !step in
-        let budget = max_steps - s0 in
-        ensure (min (Mailbox.size mb) budget) (Mailbox.msg mb h0) (state_of 0);
-        let p_src = !p_src
-        and p_dst = !p_dst
-        and p_drop = !p_drop
-        and p_mut = !p_mut
-        and p_dup = !p_dup
-        and p_msg = !p_msg
-        and p_next = !p_next
-        and r_state = !r_state
-        and r_sends = !r_sends in
-        (* 1. Plan: pop determined picks off the queue, pre-drawing their
-           faults. Arrivals (responses, duplicates) all carry ids above
-           every queued message, so they can never preempt a planned pick;
-           the one exception is the delayer's all-victims FIFO fallback,
-           where a same-batch response from a non-victim would win — the
-           plan stops there. *)
-        let len = ref 0 in
-        let stop_plan = ref false in
-        while (not !stop_plan) && !len < budget do
-          let h = Mailbox.head mb in
-          if h = -1 then stop_plan := true
-          else begin
-            let sp = s0 + !len + 1 in
-            let pick =
-              match victim with
-              | None -> h
-              | Some vict ->
-                  if sp - Mailbox.birth mb h >= max_delay then h
-                  else first_non_victim vict
-            in
-            if pick = -1 then stop_plan := true
-            else begin
-              let src = Mailbox.src mb pick and dst = Mailbox.dst mb pick in
-              let m = Mailbox.msg mb pick in
-              Mailbox.remove mb pick;
-              let p = !len in
-              p_src.(p) <- src;
-              p_dst.(p) <- dst;
-              (match faults with
-              | Some inst when src <> dst -> (
-                  let d = Ba_sim.Faults.draw_async inst ~src ~dst m in
-                  match d.Ba_sim.Faults.d_payload with
-                  | None ->
-                      p_drop.(p) <- true;
-                      p_mut.(p) <- false;
-                      p_dup.(p) <- false
-                  | Some m' ->
-                      p_drop.(p) <- false;
-                      p_mut.(p) <- d.Ba_sim.Faults.d_mutated;
-                      p_dup.(p) <- d.Ba_sim.Faults.d_duplicate;
-                      p_msg.(p) <- m')
-              | Some _ | None ->
-                  p_drop.(p) <- false;
-                  p_mut.(p) <- false;
-                  p_dup.(p) <- false;
-                  p_msg.(p) <- m);
-              incr len
-            end
-          end
-        done;
-        if !len = 0 then begin
-          (* Delayer corner: every sender is a victim and the head is not
-             yet stale, so the next pick is the FIFO fallback whose
-             successor depends on this very step's responses — take one
-             serial step and retry the batch. *)
-          incr step;
-          let h = Mailbox.head mb in
-          let src = Mailbox.src mb h and dst = Mailbox.dst mb h and m = Mailbox.msg mb h in
-          Mailbox.remove mb h;
-          deliver ~src ~dst m;
-          completed := !decided_count = n
-        end
-        else begin
-          (* 2. Group the surviving deliveries into per-destination
-             activation chains (plan order within each destination). *)
-          Array.fill dhead 0 n (-1);
-          Array.fill dtail 0 n (-1);
-          for p = 0 to !len - 1 do
-            if not p_drop.(p) then begin
-              let v = p_dst.(p) in
-              p_next.(p) <- -1;
-              if dtail.(v) = -1 then dhead.(v) <- p else p_next.(dtail.(v)) <- p;
-              dtail.(v) <- p
-            end
-          done;
-          (* 3. Activate: drain each destination's whole chain, threading
-             its state. Destinations are independent, so this is the part
-             the sharder may fan out across domains. *)
-          let process lo hi =
-            for v = lo to hi - 1 do
-              let p = ref dhead.(v) in
-              if !p <> -1 then begin
-                let ctx = ctx_of v in
-                let st = ref (state_of v) in
-                while !p <> -1 do
-                  let st', sends = protocol.on_message ctx !st ~src:p_src.(!p) p_msg.(!p) in
-                  st := st';
-                  r_state.(!p) <- st';
-                  r_sends.(!p) <- sends;
-                  p := p_next.(!p)
-                done
-              end
-            done
-          in
-          (match sharder with
-          | Some sh when sh.Ba_sim.Engine.s_shards > 1 && !len >= 2 * n ->
-              let shards = min sh.Ba_sim.Engine.s_shards n in
-              let chunk = (n + shards - 1) / shards in
-              let thunks =
-                Array.init shards (fun i ->
-                    let lo = i * chunk in
-                    let hi = min n (lo + chunk) in
-                    fun () -> if lo < hi then process lo hi)
-              in
-              sh.Ba_sim.Engine.s_run thunks
-          | Some _ | None -> process 0 n);
-          (* 4. Commit in plan order at each position's own step number. *)
-          let p = ref 0 in
-          let stop = ref false in
-          while (not !stop) && !p < !len do
-            let q = !p in
-            let sp = s0 + q + 1 in
-            let src = p_src.(q) and dst = p_dst.(q) in
-            if p_drop.(q) then Ba_sim.Metrics.record_link_drop metrics
-            else begin
-              if p_mut.(q) then Ba_sim.Metrics.record_link_corruption metrics;
-              if p_dup.(q) then begin
-                Ba_sim.Metrics.record_link_duplicate metrics;
-                ignore (Mailbox.enqueue mb ~src ~dst ~birth:sp p_msg.(q) : int)
-              end;
-              incr deliveries;
-              Ba_sim.Metrics.record_message metrics ~bits:(protocol.msg_bits p_msg.(q))
-                ~byzantine:false;
-              states.(dst) <- Some r_state.(q);
-              enqueue_at ~src:dst ~at:sp r_sends.(q);
-              note_decided dst r_state.(q);
-              if !decided_count = n then stop := true
-            end;
-            incr p
-          done;
-          step := s0 + !p;
-          completed := !decided_count = n
-        end
-      end
-    done
-  in
   (match adversary.policy with
   | Opaque -> generic ()
-  | Uniform_pick _ | Scored _ ->
-      (* Sequential-draw schedulers: each pick's PRNG draw depends on the
-         previous delivery, so there is nothing to batch — but the slab
-         walk and incremental completion already carry the speedup. *)
-      serial_fast ()
-  | Fifo_pick | Avoid_srcs _ -> (
-      match trace with Some _ -> serial_fast () | None -> batched ()));
+  | Fifo_pick | Avoid_srcs _ | Uniform_pick _ | Scored _ -> serial_fast ());
   { protocol_name = protocol.name;
     adversary_name = adversary.adv_name;
     n;

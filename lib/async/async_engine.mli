@@ -21,17 +21,16 @@
       typically keep echoing afterwards; we stop measuring), or at
       [max_steps].
 
-    In-flight messages live in per-node mailbox queues backed by one
-    preallocated slab ({!Mailbox}); an adversary's {!policy} declares its
-    scheduling rule so the engine can dispatch to a fast path — batched
-    mailbox-draining activations (optionally sharded across domains) for
-    the order-insensitive schedulers, a slab walk with exact PRNG-draw
-    replay for the randomized ones, and the fully general view-based loop
-    for [Opaque] adversaries. All paths produce byte-identical outcomes;
-    DESIGN.md §15 gives the argument.
+    In-flight messages live in one preallocated pending-message slab
+    ({!Mailbox}). An adversary's {!policy} declares its scheduling rule,
+    and the engine runs one of two loops: a pure-scheduler loop that picks
+    straight from the slab (replaying the policy's exact PRNG draws), or
+    the fully general view-based loop for [Opaque] adversaries. Both
+    produce byte-identical outcomes for a policy adversary and its
+    {!opaque_of}; DESIGN.md §15 gives the argument.
 
     Determinism: everything is a function of [(seed, parameters)], as in
-    the synchronous engine, at any domain count. *)
+    the synchronous engine. *)
 
 type ctx = { n : int; t : int; me : int; rng : Ba_prng.Rng.t }
 
@@ -83,8 +82,7 @@ type 'msg action = {
     adversary never corrupts and never injects, and its [act] picks
     deliveries exactly per the declared rule — the engine is then free to
     skip materializing the view and run the policy directly against the
-    slab (including batching and domain-sharding the order-insensitive
-    ones). Declaring a policy whose [act] disagrees is a caller bug;
+    slab. Declaring a policy whose [act] disagrees is a caller bug;
     construct via {!scheduler} (which derives [act] from the policy, so
     the two cannot drift) or {!opaque}. *)
 type ('state, 'msg) policy =
@@ -164,15 +162,8 @@ type outcome = {
     the exact fault-free engine.
     @param trace unified substrate trace hook ([Ba_sim.Run.trace]): [Tick]
     per scheduler step, [Corrupt] per corruption, [Deliver] per delivered
-    message, [Fault] per injected link fault. Tracing forces the serial
-    paths (events are per-step; outcomes are unchanged).
-    @param sharder fans the batched path's per-destination activations out
-    over domains ([Ba_harness.Parallel.delivery_sharder]). Only the
-    order-insensitive schedulers ([Fifo_pick], [Avoid_srcs]) batch;
-    outcomes are byte-identical at any shard count — worker domains only
-    read the immutable delivery plan and write disjoint per-destination
-    result cells, while every id assignment, PRNG draw and metric update
-    happens serially in plan order (DESIGN.md §15).
+    message, [Fault] per injected link fault. A traced run executes the
+    same loop as an untraced one; outcomes are unchanged.
     @raise Invalid_argument on the same conditions as the synchronous
     engine. *)
 val run :
@@ -180,7 +171,6 @@ val run :
   ?max_delay:int ->
   ?faults:'msg Ba_sim.Faults.plan ->
   ?trace:Ba_sim.Run.trace ->
-  ?sharder:Ba_sim.Engine.sharder ->
   protocol:('state, 'msg) protocol ->
   adversary:('state, 'msg) adversary ->
   n:int ->

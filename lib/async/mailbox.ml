@@ -1,9 +1,9 @@
-(* Pending-message slab with intrusive global / per-dst / per-src lists.
-   See the .mli and DESIGN.md section 15 for the shape; the key facts the
-   engine relies on:
+(* Pending-message slab with intrusive global and per-src lists. See the
+   .mli and DESIGN.md section 15 for the shape; the key facts the engine
+   relies on:
 
    - ids come from one monotonic counter and slots append at every tail,
-     so all three lists stay id-sorted with no comparisons;
+     so both lists stay id-sorted with no comparisons;
    - removal and enqueue are O(1); the freelist is chained through
      [gnext], so a slot costs nothing extra when parked;
    - growth doubles all parallel arrays at once, using the payload of the
@@ -25,14 +25,10 @@ type 'msg t = {
   mutable msgs : 'msg array;
   mutable gnext : int array;
   mutable gprev : int array;
-  mutable dnext : int array;
-  mutable dprev : int array;
   mutable snext : int array;
   mutable sprev : int array;
   mutable ghead : int;
   mutable gtail : int;
-  dhead : int array;
-  dtail : int array;
   shead : int array;
   stail : int array;
   mutable free : int; (* freelist head, chained through gnext *)
@@ -60,14 +56,10 @@ let create ~n () =
     msgs = [||];
     gnext = [||];
     gprev = [||];
-    dnext = [||];
-    dprev = [||];
     snext = [||];
     sprev = [||];
     ghead = -1;
     gtail = -1;
-    dhead = Array.make n (-1);
-    dtail = Array.make n (-1);
     shead = Array.make n (-1);
     stail = Array.make n (-1);
     free = -1;
@@ -116,8 +108,6 @@ let birth t s = t.births.(s)
 let msg t s = t.msgs.(s)
 let head t = t.ghead
 let next_global t s = t.gnext.(s)
-let head_dst t v = t.dhead.(v)
-let next_dst t s = t.dnext.(s)
 let head_src t v = t.shead.(v)
 let next_src t s = t.snext.(s)
 let scratch t = t.scr
@@ -140,8 +130,6 @@ let grow t filler =
   t.births <- grow_int t.births ncap;
   t.gnext <- grow_int t.gnext ncap;
   t.gprev <- grow_int t.gprev ncap;
-  t.dnext <- grow_int t.dnext ncap;
-  t.dprev <- grow_int t.dprev ncap;
   t.snext <- grow_int t.snext ncap;
   t.sprev <- grow_int t.sprev ncap;
   t.scr <- Array.make ncap 0;
@@ -175,11 +163,6 @@ let enqueue t ~src ~dst ~birth m =
   t.gprev.(s) <- t.gtail;
   if t.gtail = -1 then t.ghead <- s else t.gnext.(t.gtail) <- s;
   t.gtail <- s;
-  (* per-dst tail *)
-  t.dnext.(s) <- -1;
-  t.dprev.(s) <- t.dtail.(dst);
-  if t.dtail.(dst) = -1 then t.dhead.(dst) <- s else t.dnext.(t.dtail.(dst)) <- s;
-  t.dtail.(dst) <- s;
   (* per-src tail *)
   t.snext.(s) <- -1;
   t.sprev.(s) <- t.stail.(src);
@@ -193,10 +176,6 @@ let remove t s =
   let p = t.gprev.(s) and nx = t.gnext.(s) in
   if p = -1 then t.ghead <- nx else t.gnext.(p) <- nx;
   if nx = -1 then t.gtail <- p else t.gprev.(nx) <- p;
-  let v = t.dsts.(s) in
-  let p = t.dprev.(s) and nx = t.dnext.(s) in
-  if p = -1 then t.dhead.(v) <- nx else t.dnext.(p) <- nx;
-  if nx = -1 then t.dtail.(v) <- p else t.dprev.(nx) <- p;
   let v = t.srcs.(s) in
   let p = t.sprev.(s) and nx = t.snext.(s) in
   if p = -1 then t.shead.(v) <- nx else t.snext.(p) <- nx;
@@ -268,29 +247,25 @@ let validate t =
   for s = 0 to t.cap - 1 do
     if seen.(s) = `Unseen then fail "slot %d leaked (neither live nor free)" s
   done;
-  (* Per-node lists: field agreement, ascending ids, exact coverage. *)
-  let check_lists what heads tails next prevs field =
-    let covered = ref 0 in
-    Array.iteri
-      (fun v h ->
-        let prev = ref (-1) in
-        let s = ref h in
-        while !s <> -1 do
-          if seen.(!s) <> `Live then fail "%s list of %d holds dead slot %d" what v !s;
-          if field !s <> v then fail "%s field mismatch at slot %d" what !s;
-          if prevs.(!s) <> !prev then fail "%s prev mismatch at slot %d" what !s;
-          if !prev <> -1 && t.ids.(!prev) >= t.ids.(!s) then
-            fail "%s ids not ascending for node %d" what v;
-          incr covered;
-          prev := !s;
-          s := next.(!s)
-        done;
-        if tails.(v) <> !prev then fail "%s tail mismatch for node %d" what v)
-      heads;
-    if !covered <> t.live then fail "%s lists cover %d of %d live slots" what !covered t.live
-  in
-  check_lists "dst" t.dhead t.dtail t.dnext t.dprev (fun s -> t.dsts.(s));
-  check_lists "src" t.shead t.stail t.snext t.sprev (fun s -> t.srcs.(s));
+  (* Per-source lists: field agreement, ascending ids, exact coverage. *)
+  let covered = ref 0 in
+  Array.iteri
+    (fun v h ->
+      let prev = ref (-1) in
+      let s = ref h in
+      while !s <> -1 do
+        if seen.(!s) <> `Live then fail "src list of %d holds dead slot %d" v !s;
+        if t.srcs.(!s) <> v then fail "src field mismatch at slot %d" !s;
+        if t.sprev.(!s) <> !prev then fail "src prev mismatch at slot %d" !s;
+        if !prev <> -1 && t.ids.(!prev) >= t.ids.(!s) then
+          fail "src ids not ascending for node %d" v;
+        incr covered;
+        prev := !s;
+        s := t.snext.(!s)
+      done;
+      if t.stail.(v) <> !prev then fail "src tail mismatch for node %d" v)
+    t.shead;
+  if !covered <> t.live then fail "src lists cover %d of %d live slots" !covered t.live;
   if Array.length t.scr < t.cap then fail "scratch shorter than capacity";
   (* Order-statistics index: the id table must name exactly the live slots,
      and Fenwick rank-selection must reproduce the global list. *)

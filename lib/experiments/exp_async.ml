@@ -142,8 +142,8 @@ let e17 ?policy ?(domains = 1) ?(quick = false) ~seed () =
    fault-free control arm, however, must be perfect: the model assumes
    reliable links. [domains] parallelizes whole trials
    ({!Ba_harness.Parallel.monte_carlo_view}); within a trial the random
-   scheduler takes the engine's serial slab fast path — one rank draw per
-   step (DESIGN.md §15), so per-trial [?sharder] would be a no-op here. *)
+   scheduler runs the engine's pure-scheduler loop, one rank draw per
+   step (DESIGN.md §15). *)
 let e20 ?policy ?(quick = false) ~seed ~domains () =
   let trials = if quick then 6 else 15 in
   let arms =

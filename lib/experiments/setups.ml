@@ -422,7 +422,6 @@ type async_run = {
     ?max_steps:int ->
     ?max_delay:int ->
     ?trace:Ba_sim.Run.trace ->
-    ?sharder:Ba_sim.Engine.sharder ->
     inputs:int array ->
     seed:int64 ->
     unit ->
@@ -453,7 +452,7 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
       { arun_protocol = async_protocol_name protocol;
         arun_scheduler;
         arun_exec =
-          (fun ?max_steps ?max_delay ?trace ?sharder ~inputs ~seed () ->
+          (fun ?max_steps ?max_delay ?trace ~inputs ~seed () ->
             let rng = scheduler_rng seed in
             let adversary =
               match scheduler with
@@ -464,7 +463,7 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
               | Splitter_sched -> Ba_async.Async_adv.ben_or_splitter ~rng
             in
             Ba_async.Async_engine.to_run
-              (Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace ?sharder
+              (Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace
                  ~protocol:p ~adversary ~n ~t ~inputs ~seed ())) }
   | Async_bracha { broadcaster } ->
       if broadcaster < 0 || broadcaster >= n then
@@ -474,7 +473,7 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
       { arun_protocol = async_protocol_name protocol;
         arun_scheduler;
         arun_exec =
-          (fun ?max_steps ?max_delay ?trace ?sharder ~inputs ~seed () ->
+          (fun ?max_steps ?max_delay ?trace ~inputs ~seed () ->
             let rng = scheduler_rng seed in
             let adversary =
               match scheduler with
@@ -484,5 +483,5 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
               | Balancer_sched | Splitter_sched -> assert false (* rejected above *)
             in
             Ba_async.Async_engine.to_run
-              (Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace ?sharder
+              (Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace
                  ~protocol:p ~adversary ~n ~t ~inputs ~seed ())) }

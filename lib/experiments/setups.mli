@@ -176,7 +176,6 @@ type async_run = {
     ?max_steps:int ->
     ?max_delay:int ->
     ?trace:Ba_sim.Run.trace ->
-    ?sharder:Ba_sim.Engine.sharder ->
     inputs:int array ->
     seed:int64 ->
     unit ->
@@ -184,9 +183,7 @@ type async_run = {
       (** One run: the engine seed is [seed]; the scheduler's RNG stream is
           [Rng.create (Splitmix64.mix seed)] (the derivation E17 has always
           used, kept byte-stable). The outcome's span is
-          [Ba_sim.Run.Steps _]. [sharder] fans the engine's batched benign
-          delivery across domains (fifo/delayer schedulers only) — outcomes
-          are byte-identical at any shard count. *)
+          [Ba_sim.Run.Steps _]. *)
 }
 
 (** [make_async ?faults ~protocol ~scheduler ~n ~t ()] — builds the pair.

@@ -69,13 +69,11 @@ val default_domains : unit -> int
 (** [delivery_sharder ~domains] — a domain-backed {!Ba_sim.Engine.sharder}
     for within-round delivery: shard thunks [1..] run on fresh domains, the
     first on the calling domain, all joined before returning (even on an
-    exception). Both engines consume it: the synchronous plane shards
-    benign-round recipients (DESIGN.md §10), the asynchronous engine
-    shards a batch's per-destination mailbox activations (DESIGN.md §15,
-    [Async_engine.run ?sharder] / [ba_async_run --domains]). Engine
-    outcomes are byte-identical at any [domains] (see
-    {!Ba_sim.Engine.sharder}); this only changes wall-clock. Domains are
-    spawned per batch — worthwhile for large workloads, pure overhead for
-    small runs, which is why it is opt-in ([--domains] on the CLIs).
+    exception). The synchronous engine consumes it to shard a round's
+    recipients (DESIGN.md §10). Engine outcomes are byte-identical at any
+    [domains] (see {!Ba_sim.Engine.sharder}); this only changes
+    wall-clock. Domains are spawned per round — worthwhile for large
+    workloads, pure overhead for small runs, which is why it is opt-in
+    ([--domains] on the CLIs).
     @raise Invalid_argument if [domains < 1]. *)
 val delivery_sharder : domains:int -> Ba_sim.Engine.sharder

@@ -130,20 +130,19 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
       action.corrupt;
     (* 4. Delivery + 5. recv for each live honest node. Under a restricted
        topology, delivery routes through per-recipient sparse plane slices
-       (first arm below; DESIGN.md §13). On the dense plan, three modes,
-       all observably identical to per-link delivery (same metrics, same
-       RNG draw order — the determinism proof obligation of DESIGN.md §10):
+       (first arm below; DESIGN.md §13). On the dense plan, two modes, both
+       observably identical to per-link delivery (same metrics, same RNG
+       draw order — the determinism proof obligation of DESIGN.md §10):
 
        - benign broadcast (no fault instance, no corrupted node): every
          live recipient's inbox is the same array, so one shared plane is
          packed once and recv fans out over it — optionally sharded across
          domains, each shard on its own cache view;
-       - Byzantine senders, no link faults: per-recipient copy of the
-         honest slab patched by [byz_msg] (corrupted senders ascending,
-         recipients ascending — the draw order of the old per-link loop);
-       - link faults: the old exact per-link loop, [Faults.deliver] on
-         every (src, dst) pair in the original order, as index-level edits
-         on the copied slab. *)
+       - Byzantine senders or link faults: the exact per-link loop on a
+         per-recipient copy of the honest slab (recipients ascending, then
+         senders ascending): [byz_msg] for a corrupted sender, then
+         [Faults.deliver] when the run has a fault instance, then
+         metering, as index-level edits on the copy. *)
     let new_states = Array.copy states in
     let corrupted_now = ref [] in
     for v = n - 1 downto 0 do
@@ -294,34 +293,22 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
           sharder.s_run thunks
         end
         else deliver_range plane 0 (n - 1)
-    | None, None, cs ->
-        for u = 0 to n - 1 do
-          if live u then begin
-            let data = Array.copy honest_msgs in
-            List.iter (fun v -> data.(v) <- action.byz_msg ~src:v ~dst:u) cs;
-            for v = 0 to n - 1 do
-              if v <> u then
-                match data.(v) with
-                | Some payload -> meter payload ~byzantine:corrupted.(v)
-                | None -> ()
-            done;
-            new_states.(u) <-
-              protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(Plane.of_array ?encode:codec data)
-          end
-        done
-    | None, Some inst, _ ->
+    | None, _, _ ->
         for u = 0 to n - 1 do
           if live u then begin
             let data = Array.copy honest_msgs in
             for v = 0 to n - 1 do
               if v <> u then begin
-                let raw, byzantine =
-                  if corrupted.(v) then (action.byz_msg ~src:v ~dst:u, true) else (data.(v), false)
-                in
+                let byzantine = corrupted.(v) in
+                let raw = if byzantine then action.byz_msg ~src:v ~dst:u else data.(v) in
                 (* Benign link faults apply to honest and Byzantine payloads
                    alike; self-delivery is exempt (a node always hears itself
                    unless silenced above). *)
-                let m = Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u raw in
+                let m =
+                  match faults with
+                  | None -> raw
+                  | Some inst -> Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u raw
+                in
                 (match m with Some payload -> meter payload ~byzantine | None -> ());
                 data.(v) <- m
               end

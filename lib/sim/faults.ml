@@ -120,42 +120,27 @@ type 'msg delivery = { d_payload : 'msg option; d_mutated : bool; d_duplicate : 
    reported to the caller, which re-enqueues the copy as a fresh
    scheduler-visible message (metered here, at queue time, since delivery
    of the copy is then indistinguishable from any other delivery). Draw
-   order matches [deliver]: drop, then corrupt, then duplicate.
-
-   The draw is split from the metering so the async engine's batched path
-   can pre-draw a whole delivery plan in scheduler order (keeping the
-   stream exact) and meter per delivery at commit time. *)
-let draw_async inst ~src ~dst payload =
+   order matches [deliver]: drop, then corrupt, then duplicate. *)
+let apply_async inst ~metrics ~src ~dst payload =
   if src = dst then { d_payload = Some payload; d_mutated = false; d_duplicate = false }
   else begin
     let p = inst.plan in
-    if p.drop > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.drop then
+    if p.drop > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.drop then begin
+      Metrics.record_link_drop metrics;
       { d_payload = None; d_mutated = false; d_duplicate = false }
+    end
     else begin
       let m, mutated =
         if p.corrupt > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.corrupt then (
           match p.mutate with
-          | Some f -> (f inst.rng payload, true)
+          | Some f ->
+              Metrics.record_link_corruption metrics;
+              (f inst.rng payload, true)
           | None -> (payload, false))
         else (payload, false)
       in
-      let duplicate =
-        p.duplicate > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.duplicate
-      in
+      let duplicate = p.duplicate > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.duplicate in
+      if duplicate then Metrics.record_link_duplicate metrics;
       { d_payload = Some m; d_mutated = mutated; d_duplicate = duplicate }
     end
   end
-
-let meter_async ~metrics ~src ~dst d =
-  if src <> dst then begin
-    (match d.d_payload with
-    | None -> Metrics.record_link_drop metrics
-    | Some _ -> ());
-    if d.d_mutated then Metrics.record_link_corruption metrics;
-    if d.d_duplicate then Metrics.record_link_duplicate metrics
-  end
-
-let apply_async inst ~metrics ~src ~dst payload =
-  let d = draw_async inst ~src ~dst payload in
-  meter_async ~metrics ~src ~dst d;
-  d

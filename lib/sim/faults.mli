@@ -113,8 +113,7 @@ type 'msg delivery = {
     duplicate decisions (in that order, matching {!deliver}) for one async
     delivery, metering every injected event. Self-delivery is exempt. Must
     be called in the deterministic delivery order chosen by the scheduler
-    loop so the stream is reproducible. Equivalent to {!draw_async}
-    followed by {!meter_async}. *)
+    loop so the stream is reproducible. *)
 val apply_async :
   'msg instance ->
   metrics:Metrics.t ->
@@ -122,17 +121,3 @@ val apply_async :
   dst:int ->
   'msg ->
   'msg delivery
-
-(** [draw_async inst ~src ~dst payload] — the PRNG draw of {!apply_async}
-    without the metering. The async engine's batched path pre-draws an
-    entire delivery plan in scheduler order (so the fault stream stays
-    bit-identical to serial execution) and defers the metering of each
-    delivery to its commit position via {!meter_async} — deliveries cut
-    off by mid-batch completion are then never metered, exactly as if they
-    had never been scheduled. *)
-val draw_async : 'msg instance -> src:int -> dst:int -> 'msg -> 'msg delivery
-
-(** [meter_async ~metrics ~src ~dst d] — meter the fault decisions of one
-    {!draw_async} result (no-op for self-delivery, matching
-    {!apply_async}). *)
-val meter_async : metrics:Metrics.t -> src:int -> dst:int -> 'msg delivery -> unit

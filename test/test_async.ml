@@ -195,6 +195,23 @@ let test_ben_or_balancer_scheduling_attack () =
     (Printf.sprintf "balancer %d > fifo %d deliveries" balancer fifo)
     true (balancer > fifo)
 
+let test_ben_or_splitter_regression () =
+  (* Pinned counterexample to the old decision rule (decide on 2t+1
+     P-votes): at n=16, t=3 one node decided on 7 P-votes while another saw
+     a single honest P(v) among its n-t messages and coined the other way.
+     The threshold is now Ben-Or's more than (n+t)/2. *)
+  let n = 16 and t = 3 in
+  let module Setups = Ba_experiments.Setups in
+  let arun =
+    Setups.make_async ~protocol:Setups.Async_ben_or ~scheduler:Setups.Splitter_sched ~n ~t ()
+  in
+  let o =
+    arun.Setups.arun_exec ~inputs:(Setups.inputs Setups.Near_threshold ~n ~t)
+      ~seed:967191038110576494L ()
+  in
+  Alcotest.(check bool) "completed" true o.Ba_sim.Run.completed;
+  Alcotest.(check bool) "agreement" true (Ba_sim.Run.agreement_holds o)
+
 let test_ben_or_resilience_guard () =
   Alcotest.check_raises "n = 5t rejected"
     (Invalid_argument "Ben_or_async.make: the classic protocol needs n > 5t") (fun () ->
@@ -232,5 +249,6 @@ let () =
          Alcotest.test_case "flooder" `Quick test_ben_or_flooder;
          Alcotest.test_case "balancer scheduling attack" `Slow
            test_ben_or_balancer_scheduling_attack;
+         Alcotest.test_case "splitter regression" `Quick test_ben_or_splitter_regression;
          Alcotest.test_case "resilience guard" `Quick test_ben_or_resilience_guard ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_ben_or_random_inputs_safe ]) ]

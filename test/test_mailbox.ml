@@ -1,7 +1,7 @@
-(* Mailbox slab + actor-runtime engine paths: structural invariants under
-   random op sequences (model-based), slot recycling without aliasing,
+(* Mailbox slab + async engine loops: structural invariants under random
+   op sequences (model-based), slot recycling without aliasing,
    FIFO-per-link delivery order under duplicates and silence, and
-   byte-identity of every fast path (batched, sharded, PRNG-replay) against
+   byte-identity of the pure-scheduler loop (PRNG replay included) against
    the general view-based loop. *)
 
 open Ba_async
@@ -36,12 +36,12 @@ let check_against_model mb model =
     model;
   Alcotest.(check int) "nth_global out of range" (-1) (Mailbox.nth_global mb (List.length model))
 
-let per_node mb head next v =
+let per_src mb v =
   let out = ref [] in
-  let s = ref (head mb v) in
+  let s = ref (Mailbox.head_src mb v) in
   while !s <> -1 do
     out := Mailbox.id mb !s :: !out;
-    s := next mb !s
+    s := Mailbox.next_src mb !s
   done;
   List.rev !out
 
@@ -77,11 +77,9 @@ let prop_model_random_ops =
       done;
       check_against_model mb !model;
       for v = 0 to n - 1 do
-        let want f = List.filter_map (fun (i, s, d, _, _) -> if f s d then Some i else None) !model in
-        Alcotest.(check (list int)) "per-dst queue" (want (fun _ d -> d = v))
-          (per_node mb Mailbox.head_dst Mailbox.next_dst v);
-        Alcotest.(check (list int)) "per-src queue" (want (fun s _ -> s = v))
-          (per_node mb Mailbox.head_src Mailbox.next_src v)
+        let want f = List.filter_map (fun (i, s, _, _, _) -> if f s then Some i else None) !model in
+        Alcotest.(check (list int)) "per-src queue" (want (fun s -> s = v))
+          (per_src mb v)
       done;
       true)
 
@@ -162,7 +160,7 @@ let first_occurrences_increasing log_oldest_first ~n =
         log_oldest_first)
     (List.init n Fun.id)
 
-let run_recorder ~sharder ~seed =
+let run_recorder ~adversary ~seed =
   let n = 8 and per = 6 in
   let silenced = 1 in
   let need = (n - 1) * per in
@@ -171,8 +169,8 @@ let run_recorder ~sharder ~seed =
       ~silences:[ { Faults.s_node = silenced; s_from = 1; s_until = 40_000 } ]
       ()
   in
-  Async_engine.run ~protocol:(recorder ~per ~need) ~adversary:Async_engine.fifo ~faults
-    ?sharder ~n ~t:0 ~inputs:(Array.make n 0) ~seed ()
+  Async_engine.run ~protocol:(recorder ~per ~need) ~adversary ~faults ~n ~t:0
+    ~inputs:(Array.make n 0) ~seed ()
 
 (* The engine outcome does not expose protocol states, so the order check
    taps the recorder's [on_message] into per-node log cells. *)
@@ -221,15 +219,17 @@ let ben_or_faults () =
     ~silences:[ { Faults.s_node = 2; s_from = 10; s_until = 60 } ]
     ()
 
-let ben_or_run ?faults ?sharder ~adversary ~seed () =
+let ben_or_run ?faults ~adversary ~seed () =
   let n = 11 and t = 2 in
-  Async_engine.run ?faults ?sharder ~protocol:(Ben_or_async.make ~n ~t) ~adversary ~n ~t
+  Async_engine.run ?faults ~protocol:(Ben_or_async.make ~n ~t) ~adversary ~n ~t
     ~inputs:(Array.init n (fun i -> i mod 2)) ~seed ()
 
 let prop_policy_vs_opaque =
-  (* Every policy fast path (batched fifo/delayer, PRNG-replay uniform and
-     scored) must be byte-identical to the same adversary forced through the
-     general view-based loop, with and without benign faults. *)
+  (* Every policy on the pure-scheduler loop (fifo, delayer, PRNG-replay
+     uniform and scored) must be byte-identical to the same adversary forced
+     through the general view-based loop, with and without benign faults;
+     the recorder workload adds fifo under duplicates and a silence
+     window. *)
   QCheck.Test.make ~name:"policy fast paths = opaque general loop" ~count:12 QCheck.int64
     (fun seed ->
       let advs =
@@ -248,41 +248,10 @@ let prop_policy_vs_opaque =
               in
               same_outcome fast slow)
             [ None; Some (ben_or_faults ()) ])
-        advs)
-
-let prop_sharded_vs_serial =
-  QCheck.Test.make ~name:"sharded batched delivery = serial, domains 1/2/4" ~count:8
-    QCheck.int64 (fun seed ->
-      List.for_all
-        (fun mk ->
-          List.for_all
-            (fun faults ->
-              let serial = ben_or_run ?faults ~adversary:(mk ()) ~seed () in
-              List.for_all
-                (fun domains ->
-                  let sharder = Ba_experiments.Setups.sharder_of ~domains in
-                  same_outcome serial
-                    (ben_or_run ?faults ~sharder ~adversary:(mk ()) ~seed ()))
-                [ 1; 2; 4 ])
-            [ None; Some (ben_or_faults ()) ])
-        [ (fun () -> Async_engine.fifo); (fun () -> Async_adv.delayer ~victims:[ 0; 3 ]) ])
-
-let test_sharded_recorder_identity () =
-  (* The recorder workload (duplicates + silence) through the sharded
-     batched path, against the serial run. *)
-  List.iter
-    (fun seed ->
-      let serial = run_recorder ~sharder:None ~seed in
-      List.iter
-        (fun domains ->
-          let sharded =
-            run_recorder ~sharder:(Some (Ba_experiments.Setups.sharder_of ~domains)) ~seed
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "domains=%d identical" domains)
-            true (same_outcome serial sharded))
-        [ 2; 4 ])
-    [ 5L; 6L; 7L ]
+        advs
+      && same_outcome
+           (run_recorder ~adversary:Async_engine.fifo ~seed)
+           (run_recorder ~adversary:(Async_engine.opaque_of Async_engine.fifo) ~seed))
 
 let () =
   Alcotest.run "ba_mailbox"
@@ -292,7 +261,4 @@ let () =
          QCheck_alcotest.to_alcotest prop_model_random_ops ]);
       ("engine-paths",
        [ QCheck_alcotest.to_alcotest prop_fifo_per_link;
-         QCheck_alcotest.to_alcotest prop_policy_vs_opaque;
-         QCheck_alcotest.to_alcotest prop_sharded_vs_serial;
-         Alcotest.test_case "sharded recorder identity" `Quick
-           test_sharded_recorder_identity ]) ]
+         QCheck_alcotest.to_alcotest prop_policy_vs_opaque ]) ]
