@@ -50,10 +50,10 @@ type ('state, 'msg) adversary = {
 }
 
 (* The reference semantics of each declared policy, as a plain [act] over
-   the adversary view. The engine's fast paths replicate this behavior
-   (and its PRNG draw pattern) against the slab without materializing the
-   view; [opaque_of] forces any adversary through this generic route so
-   tests can check the two stay byte-identical. *)
+   the adversary view. The engine's pure-scheduler loop replicates this
+   behavior (and its PRNG draw pattern) against the slab without
+   materializing the view; [opaque_of] forces any adversary through this
+   generic route so tests can check the two stay byte-identical. *)
 let act_of_policy policy view =
   let deliver =
     match (policy, view.pending) with

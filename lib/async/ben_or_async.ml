@@ -107,7 +107,11 @@ let rec advance (ctx : Async_engine.ctx) st =
           let total, counts = effective st ~round:st.round ~mtype:P in
           if total >= n - t then begin
             let v, m = best_non_unknown counts in
-            if m >= (2 * t) + 1 then begin
+            (* Ben-Or's decision bar is the R step's: more than (n+t)/2
+               P-votes, so every node sees at least t+1 of them among its
+               n-t and adopts v. A 2t+1 bar lets one node decide while
+               another sees fewer than t+1 and coins. *)
+            if 2 * m > n + t then begin
               let st = { st with output = Some v; x = v } in
               (st, Async_engine.broadcast ~n (mk_d ~v))
             end

@@ -7,9 +7,9 @@
       [(n + t) / 2] carry one value [v], broadcasts [(P, r, v)], otherwise
       [(P, r, ?)];
     + waits for [n - t] round-[r] P-messages; with [m] votes for the best
-      non-[?] value [v]: decides [v] if [m ≥ 2t + 1], adopts [x := v] if
-      [m ≥ t + 1], otherwise flips a private coin; then starts round
-      [r + 1].
+      non-[?] value [v]: decides [v] if [m > (n + t) / 2], adopts
+      [x := v] if [m ≥ t + 1], otherwise flips a private coin; then starts
+      round [r + 1].
 
     A deciding node broadcasts a [(D, v)] notice; receivers count a decided
     sender as an [(R, r, v)] and [(P, r, v)] vote for every later round
