@@ -303,14 +303,12 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
                 let raw = if byzantine then action.byz_msg ~src:v ~dst:u else data.(v) in
                 (* Benign link faults apply to honest and Byzantine payloads
                    alike; self-delivery is exempt (a node always hears itself
-                   unless silenced above). *)
-                let m =
-                  match faults with
-                  | None -> raw
-                  | Some inst -> Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u raw
-                in
-                (match m with Some payload -> meter payload ~byzantine | None -> ());
-                data.(v) <- m
+                   unless silenced above). Slots are written only when they
+                   change: each write to the boxed array is a barrier call. *)
+                (match faults with
+                | Some inst -> data.(v) <- Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u raw
+                | None -> if byzantine then data.(v) <- raw);
+                match data.(v) with Some payload -> meter payload ~byzantine | None -> ()
               end
             done;
             new_states.(u) <-
