@@ -285,7 +285,8 @@ let cmd =
     Arg.(value & opt int64 2026L & info [ "seed" ] ~docv:"SEED" ~doc:"Experiment suite seed.")
   and domains =
     Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"K" ~doc:"OCaml domains for the experiment suite.")
+         & info [ "domains" ] ~docv:"K"
+             ~doc:"Run the experiment suite's trials across K domains.")
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"micro-benchmarks and the registered experiment suite")

@@ -9,7 +9,8 @@
 
    The search result is a pure function of (plane, n, t, seed): identical
    at any --domains value, because trial fan-out lives inside the objective
-   (Ba_harness.Parallel) whose aggregates are domain-count independent. *)
+   (Ba_harness.Experiment.monte_carlo), whose aggregates are domain-count
+   independent. *)
 
 open Cmdliner
 module Strategy = Ba_adversary.Strategy
@@ -50,8 +51,7 @@ let evals_arg =
 let domains_arg =
   Arg.(value & opt int 1
        & info [ "domains" ] ~docv:"D"
-           ~doc:"Shard skeleton-plane trial delivery across D domains (results are \
-                 byte-identical at any value).")
+           ~doc:"Run trials across D domains (results are byte-identical at any value).")
 
 let json_arg =
   Arg.(value & opt (some string) None
@@ -109,6 +109,10 @@ let run plane n t seed trials budget evals domains json_path =
   in
   if n < 2 || t < 0 || t >= n then begin
     Format.eprintf "error: need n >= 2 and 0 <= t < n (got n=%d t=%d)@." n t;
+    1
+  end
+  else if domains < 1 then begin
+    Format.eprintf "error: --domains must be >= 1 (got %d)@." domains;
     1
   end
   else begin

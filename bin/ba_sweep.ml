@@ -1,4 +1,4 @@
-(* ba_sweep: run registered experiments (E1-E22 from DESIGN.md §5).
+(* ba_sweep: run registered experiments (E1-E23 from DESIGN.md §5).
 
    The experiment set comes from Ba_experiments.Experiments.registry — this
    driver holds no list of its own.
@@ -34,8 +34,8 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"K"
         ~doc:
-          "Shard within-round message delivery across $(docv) OCaml domains. Reports are \
-           byte-identical at any value; only wall-clock changes.")
+          "Run trials across $(docv) OCaml domains. Reports are byte-identical at any value; \
+           only wall-clock changes.")
 let seed_arg = Arg.(value & opt int64 2026L & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let tag_arg =
@@ -729,7 +729,7 @@ let run ids all list quick domains seed tags json_path csv_path keep_going retri
       round_cap
 
 let cmd =
-  let doc = "run the paper's registered experiments (E1-E22)" in
+  let doc = "run the paper's registered experiments (E1-E23)" in
   Cmd.v (Cmd.info "ba_sweep" ~doc)
     Term.(const run $ ids_arg $ all_arg $ list_arg $ quick_arg $ domains_arg $ seed_arg $ tag_arg
           $ json_arg $ csv_arg $ keep_going_arg $ retries_arg $ round_cap_arg

@@ -11,7 +11,7 @@
     any worker or domain count, because this module never spawns anything —
     parallelism belongs inside the caller's objective
     (e.g. [Ba_experiments.Exp_attack] fans Monte-Carlo trials through
-    [Ba_harness.Parallel]).
+    [Ba_harness.Experiment.monte_carlo]).
 
     Evaluations are memoized on {!Strategy.encode}, so [r_evals] counts
     {e distinct} genomes scored; the objective is called exactly once per

@@ -14,12 +14,11 @@ let make ?(gamma = 4.0) ?(cycle = false) ~n ~t ~dealer_seed () =
   let memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let lock = Mutex.create () in
   let dealer phase =
-    (* The dealer closure is shared by every node, and under sharded
-       delivery nodes of one round step on different domains; the mutex
-       keeps the memo coherent. Draw order stays deterministic at any
-       shard count: all nodes of a round ask for the same phase, so each
-       phase is drawn exactly once, and first uses are phase-ascending
-       across rounds regardless of which domain happens to draw. *)
+    (* The dealer closure is shared by every node of the instance; the
+       mutex keeps the memo coherent if an instance is ever stepped from
+       more than one domain. Draw order stays deterministic: all nodes of
+       a round ask for the same phase, so each phase is drawn exactly
+       once, and first uses are phase-ascending across rounds. *)
     Mutex.protect lock (fun () ->
         match Hashtbl.find_opt memo phase with
         | Some b -> b

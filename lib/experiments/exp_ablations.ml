@@ -75,7 +75,7 @@ let e11_alpha ?(quick = false) ~seed () =
          rows)
     ()
 
-let e11_coin_round ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e11_coin_round ?policy ?domains ?(quick = false) ~seed () =
   let n = if quick then 40 else 64 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 8 else 20 in
@@ -88,11 +88,10 @@ let e11_coin_round ?policy ?(domains = 1) ?(quick = false) ~seed () =
         in
         let inputs = Setups.inputs Setups.Split ~n ~t in
         let stats =
-          Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy
-            ~fail_fast:false
-            ~trials
+          Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
+            ?policy ~fail_fast:false ~trials
             ~seed:(seed_for ~seed ("e11b", run.run_protocol))
-            ~run:(fun ~seed ~trial:_ -> run.exec ~domains ~record:true ~inputs ~seed ())
+            ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
             ()
         in
         (coin_round, run, stats))
@@ -144,11 +143,11 @@ let e11_coin_round ?policy ?(domains = 1) ?(quick = false) ~seed () =
          rows)
     ()
 
-let e11 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e11 ?policy ?domains ?(quick = false) ~seed () =
   (* Both design-choice ablations as one registered experiment (DESIGN.md §5
      row E11); the per-ablation runners stay available via the facade. *)
   let a = e11_alpha ~quick ~seed () in
-  let b = e11_coin_round ?policy ~domains ~quick ~seed () in
+  let b = e11_coin_round ?policy ?domains ~quick ~seed () in
   let prefix p metrics = List.map (fun (k, v) -> (p ^ "_" ^ k, v)) metrics in
   Report.make ~id:"E11"
     ~title:"Ablations: committee-count constant alpha; coin piggyback vs extra round"
@@ -164,7 +163,7 @@ let e11 ?policy ?(domains = 1) ?(quick = false) ~seed () =
 (* E14 — crash faults vs Byzantine faults                              *)
 (* ------------------------------------------------------------------ *)
 
-let e14 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e14 ?policy ?domains ?(quick = false) ~seed () =
   (* The BJB lower bound already holds for adaptive crash faults; measure
      how much weaker the crash-only killer is in practice (deletions cost
      ~|X|+1 per coin vs the Byzantine ~|X|/2+1). *)
@@ -174,9 +173,10 @@ let e14 ?policy ?(domains = 1) ?(quick = false) ~seed () =
   let inputs = Setups.inputs Setups.Split ~n ~t in
   let measure adversary =
     let run = Setups.make ~protocol:(Setups.Las_vegas { alpha = 2.0 }) ~adversary ~n ~t in
-    Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy ~trials
+    Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase ?policy
+      ~trials
       ~seed:(seed_for ~seed ("e14", Setups.adversary_name adversary))
-      ~run:(fun ~seed ~trial:_ -> run.exec ~domains ~record:true ~inputs ~seed ())
+      ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
       ()
   in
   let byz = measure Setups.Committee_killer in

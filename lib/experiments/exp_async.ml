@@ -7,7 +7,7 @@ module Checker = Ba_trace.Checker
 (* E17 — the asynchronous contrast (Section 1.3)                       *)
 (* ------------------------------------------------------------------ *)
 
-let e17 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e17 ?policy ?domains ?(quick = false) ~seed () =
   (* The paper's Section 1.3: under the same full-information adaptive
      adversary, asynchrony is much harder — Ben-Or/Bracha are exponential,
      the best known polynomial bound (Huang-Pettie-Zhu) is O(n^4). Measure
@@ -37,6 +37,7 @@ let e17 ?policy ?(domains = 1) ?(quick = false) ~seed () =
         let bits = Ba_stats.Summary.create () in
         let eff_rounds = Ba_stats.Summary.create () in
         let clean = ref 0 in
+        (* Serial: the async arm accumulates into shared summaries. *)
         for trial = 0 to trials - 1 do
           match
             Ba_harness.Supervisor.run_trial ~policy:pol
@@ -66,9 +67,9 @@ let e17 ?policy ?(domains = 1) ?(quick = false) ~seed () =
             in
             let inputs = Setups.inputs Setups.Split ~n ~t in
             let stats =
-              Ba_harness.Experiment.monte_carlo ?policy ~trials
+              Ba_harness.Experiment.monte_carlo ?domains ?policy ~trials
                 ~seed:(seed_for ~seed ("e17-sync", n))
-                ~run:(fun ~seed ~trial:_ -> run.exec ~domains ~record:false ~inputs ~seed ())
+                ~run:(fun ~seed ~trial:_ -> run.exec ~record:false ~inputs ~seed ())
                 ()
             in
             stats.rounds
@@ -141,7 +142,7 @@ let e17 ?policy ?(domains = 1) ?(quick = false) ~seed () =
    [incomplete] (deadlock or step-cap) and is reported as degradation. The
    fault-free control arm, however, must be perfect: the model assumes
    reliable links. [domains] parallelizes whole trials
-   ({!Ba_harness.Parallel.monte_carlo_view}); within a trial the random
+   ({!Ba_harness.Experiment.monte_carlo_view}); within a trial the random
    scheduler runs the engine's pure-scheduler loop, one rank draw per
    step (DESIGN.md §15). *)
 let e20 ?policy ?(quick = false) ~seed ~domains () =
@@ -174,7 +175,7 @@ let e20 ?policy ?(quick = false) ~seed ~domains () =
               Setups.make_async ?faults ~protocol ~scheduler:Setups.Random_sched ~n ~t ()
             in
             let stats =
-              Ba_harness.Parallel.monte_carlo_view ~domains ~fail_fast:false ?policy
+              Ba_harness.Experiment.monte_carlo_view ~domains ~fail_fast:false ?policy
                 ~check:(fun ro -> Checker.agreement_run ro @ Checker.validity_run ro)
                 ~view:Fun.id ~trials
                 ~seed:(seed_for ~seed ("e20", pname, label))

@@ -13,7 +13,7 @@ val e17 : ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool ->
     every trial via the substrate checkers. Termination under faults is
     reported, not demanded; the fault-free control arm must be perfect
     (verdict [Fail] otherwise). [domains] spreads trials across OCaml
-    domains ({!Ba_harness.Parallel.monte_carlo_view}); aggregates are
+    domains ({!Ba_harness.Experiment.monte_carlo_view}); aggregates are
     domain-count independent. *)
 
 val e20 :

@@ -16,7 +16,7 @@ module Search = Ba_adversary.Search
      genome's skeleton lowering (stalled runs count the round cap).
 
    Both objectives are deterministic in (genome, seed): coin trials run
-   serially, rounds trials go through Parallel.monte_carlo, whose
+   serially, rounds trials go through Experiment.monte_carlo, whose
    aggregates are domain-count independent — so Search.run's output is
    byte-identical at any --domains value. *)
 
@@ -57,7 +57,7 @@ let rounds_objective ?policy ~domains ~n ~t ~trials ~seed genome =
   (* No checker: attacks are allowed (meant!) to break things; the
      objective only measures how long honest nodes are kept undecided. *)
   let stats =
-    Ba_harness.Parallel.monte_carlo ~domains ?policy ~fail_fast:false
+    Ba_harness.Experiment.monte_carlo ~domains ?policy ~fail_fast:false
       ~check:(fun _ -> [])
       ?rounds_per_phase:setup.Setups.rounds_per_phase ~trials ~seed
       ~run:(fun ~seed ~trial:_ -> setup.Setups.exec ~record:false ~inputs ~seed ())
@@ -256,7 +256,7 @@ let e23_c_run ~policy ~domains ~quick ~seed ~lo ~hi =
       ~adversary:(Setups.Ir result.Search.r_best) ~n:spec.cs_n ~t:spec.cs_t
   in
   let inputs = Setups.inputs Setups.Split ~n:spec.cs_n ~t:spec.cs_t in
-  Ba_harness.Experiment.monte_carlo ~policy ~fail_fast:false
+  Ba_harness.Experiment.monte_carlo ~domains ~policy ~fail_fast:false
     ~check:(fun _ -> [])
     ?rounds_per_phase:setup.Setups.rounds_per_phase ~range:(lo, hi)
     ~trials:(e23_c_trials ~quick)

@@ -6,7 +6,7 @@ module Report = Ba_harness.Report
 (* E6 — validity & agreement matrix                                    *)
 (* ------------------------------------------------------------------ *)
 
-let e6 ?(domains = 1) ?(quick = false) ~seed () =
+let e6 ?(quick = false) ~seed () =
   let trials = if quick then 4 else 10 in
   let combos =
     let skel p = (p, [ Setups.Silent; Setups.Static_crash; Setups.Staggered_crash 2;
@@ -38,13 +38,14 @@ let e6 ?(domains = 1) ?(quick = false) ~seed () =
               (fun pattern ->
                 let inputs = Setups.inputs pattern ~n ~t in
                 let ok = ref 0 in
+                (* Serial: a hand-written loop counting into shared refs. *)
                 for trial = 0 to trials - 1 do
                   let s =
                     Ba_harness.Experiment.trial_seed
                       ~seed:(seed_for ~seed ("e6", run.run_protocol, run.run_adversary))
                       ~trial
                   in
-                  let o = run.exec ~domains ~record:true ~inputs ~seed:s () in
+                  let o = run.exec ~record:true ~inputs ~seed:s () in
                   let violations =
                     Ba_trace.Checker.standard ?rounds_per_phase:run.rounds_per_phase o
                   in
@@ -84,7 +85,7 @@ let e6 ?(domains = 1) ?(quick = false) ~seed () =
 (* E7 — agreement aggregate                                            *)
 (* ------------------------------------------------------------------ *)
 
-let e7 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e7 ?policy ?domains ?(quick = false) ~seed () =
   (* The "agreement always holds" claim as its own aggregate: Monte-Carlo
      sweeps with fail_fast off, counting agreement/validity failures across
      protocol x adversary pairs instead of aborting on the first one. *)
@@ -103,10 +104,10 @@ let e7 ?policy ?(domains = 1) ?(quick = false) ~seed () =
         let run = Setups.make ~protocol:proto ~adversary:adv ~n ~t in
         let inputs = Setups.inputs Setups.Split ~n ~t in
         let stats =
-          Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy
-            ~fail_fast:false ~trials
+          Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
+            ?policy ~fail_fast:false ~trials
             ~seed:(seed_for ~seed ("e7", run.run_protocol, run.run_adversary))
-            ~run:(fun ~seed ~trial:_ -> run.exec ~domains ~record:true ~inputs ~seed ())
+            ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
             ()
         in
         (run, stats))
@@ -180,12 +181,12 @@ let e7_c_run ~policy ~domains ~quick ~seed ~lo ~hi =
   let inputs = Setups.inputs Setups.Split ~n ~t in
   (* No rounds_per_phase: the round-robin mixes protocols with different
      phase shapes, and the campaign's claim is about failure counts. *)
-  Ba_harness.Experiment.monte_carlo ~policy ~fail_fast:false ~range:(lo, hi)
+  Ba_harness.Experiment.monte_carlo ~domains ~policy ~fail_fast:false ~range:(lo, hi)
     ~trials:(e7_c_trials ~quick)
     ~seed:(seed_for ~seed "e7-campaign")
     ~run:(fun ~seed ~trial ->
       let setup = setups.(trial mod Array.length setups) in
-      setup.Setups.exec ~domains ~record:true ~inputs ~seed ())
+      setup.Setups.exec ~record:true ~inputs ~seed ())
     ()
 
 let e7_c_report ~quick ~seed:_ ~trials (stats : Ba_harness.Experiment.stats) =
@@ -229,7 +230,7 @@ let e7_campaign =
 (* E10 — baseline ladder                                               *)
 (* ------------------------------------------------------------------ *)
 
-let e10 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e10 ?policy ?domains ?(quick = false) ~seed () =
   let trials = if quick then 5 else 12 in
   let entries =
     [ (Setups.Eig, 7, 2, Setups.Static_crash, "deterministic, n>3t, t+1 rounds, exp. messages");
@@ -246,9 +247,10 @@ let e10 ?policy ?(domains = 1) ?(quick = false) ~seed () =
         let run = Setups.make ~protocol:proto ~adversary:adv ~n ~t in
         let inputs = Setups.inputs Setups.Split ~n ~t in
         let stats =
-          Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy ~trials
+          Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
+            ?policy ~trials
             ~seed:(seed_for ~seed ("e10", run.run_protocol))
-            ~run:(fun ~seed ~trial:_ -> run.exec ~domains ~record:true ~inputs ~seed ())
+            ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
             ()
         in
         (proto, run, n, t, note, stats))
@@ -463,7 +465,7 @@ let experiments =
       title = "validity/agreement matrix";
       claim = "Validity (all protocols x adversaries)";
       tags = [ Ba_harness.Registry.Robustness ];
-      run = (fun ~policy:_ ~domains ~quick ~seed -> e6 ~domains ~quick ~seed ()); campaign = None };
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e6 ~quick ~seed ()); campaign = None };
     { Ba_harness.Registry.id = "E7";
       title = "agreement aggregate (fail-fast off)";
       claim = "Agreement (whp)";

@@ -7,7 +7,7 @@
     BJB bound). E12: the related-work sampling-majority dynamics.
     E16: Feige lightest-bin election, static vs adaptive adversary. *)
 
-val e6 : ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
+val e6 : ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
 
 val e7 : ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
 

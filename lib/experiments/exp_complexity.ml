@@ -103,7 +103,7 @@ let e4 ?quick ~seed () =
 (* E8 — message complexity                                             *)
 (* ------------------------------------------------------------------ *)
 
-let e8 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e8 ?policy ?domains ?(quick = false) ~seed () =
   (* Engine-metered messages and bits at moderate n; the paper's claim is
      O(min{n t^2 log n, n^2 t / log n}) vs Chor-Coan's O(n^2 t / log n). *)
   let n = if quick then 64 else 128 in
@@ -120,9 +120,10 @@ let e8 ?policy ?(domains = 1) ?(quick = false) ~seed () =
           (fun proto ->
             let run = Setups.make ~protocol:proto ~adversary:Setups.Committee_killer ~n ~t in
             let stats =
-              Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy ~trials
+              Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
+                ?policy ~trials
                 ~seed:(seed_for ~seed ("e8", Setups.protocol_name proto, t))
-                ~run:(fun ~seed ~trial:_ -> run.exec ~domains ~record:true ~inputs ~seed ())
+                ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
                 ()
             in
             (t, run.run_protocol, stats))

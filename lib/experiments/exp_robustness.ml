@@ -16,7 +16,7 @@ let e18_budget ~n ~t spec =
   let p = spec.Setups.fs_drop +. spec.Setups.fs_corrupt in
   max 0 (t - int_of_float (ceil (p *. float_of_int n)))
 
-let e18 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e18 ?policy ?(quick = false) ~seed () =
   let n = if quick then 40 else 64 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 5 else 12 in
@@ -39,6 +39,7 @@ let e18 ?policy ?(domains = 1) ?(quick = false) ~seed () =
             let run = Setups.make_capped ~faults:spec ~limit:q ~protocol:proto
                 ~adversary:Setups.Static_crash ~n ~t
             in
+            (* Serial: the run closure adds to [faults_seen], shared across trials. *)
             let faults_seen = Ba_stats.Summary.create () in
             let stats =
               Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy
@@ -47,7 +48,7 @@ let e18 ?policy ?(domains = 1) ?(quick = false) ~seed () =
                 ~trials
                 ~seed:(seed_for ~seed ("e18", run.run_protocol, label))
                 ~run:(fun ~seed ~trial:_ ->
-                  let o = run.exec ~domains ~record:true ~inputs ~seed () in
+                  let o = run.exec ~record:true ~inputs ~seed () in
                   Ba_stats.Summary.add_int faults_seen
                     (Ba_sim.Metrics.fault_events o.Ba_sim.Engine.metrics);
                   o)
@@ -148,7 +149,7 @@ let e19_waves ~t ~wave_len ~waves =
     Ba_adversary.Strategy.to_silences
       { Ba_adversary.Strategy.sw_group = g; sw_len = wave_len; sw_waves = waves; sw_start = 1 } )
 
-let e19 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e19 ?policy ?(quick = false) ~seed () =
   let n = if quick then 40 else 64 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 6 else 15 in
@@ -167,6 +168,7 @@ let e19 ?policy ?(domains = 1) ?(quick = false) ~seed () =
           Setups.make_capped ~faults:spec ~limit ~protocol:(Setups.Las_vegas { alpha = 2.0 })
             ~adversary ~n ~t
         in
+        (* Serial: the run closure adds to [silenced], shared across trials. *)
         let silenced = Ba_stats.Summary.create () in
         let stats =
           Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy
@@ -176,7 +178,7 @@ let e19 ?policy ?(domains = 1) ?(quick = false) ~seed () =
             ~trials
             ~seed:(seed_for ~seed ("e19", label))
             ~run:(fun ~seed ~trial:_ ->
-              let o = run.exec ~domains ~record:true ~inputs ~seed () in
+              let o = run.exec ~record:true ~inputs ~seed () in
               Ba_stats.Summary.add_int silenced
                 (Ba_sim.Metrics.crash_silences o.Ba_sim.Engine.metrics);
               o)
@@ -263,11 +265,11 @@ let e18_c_run ~policy ~domains ~quick ~seed ~lo ~hi =
       ~adversary:Setups.Static_crash ~n ~t
   in
   let inputs = Setups.inputs Setups.Split ~n ~t in
-  Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ~policy
+  Ba_harness.Experiment.monte_carlo ~domains ?rounds_per_phase:run.rounds_per_phase ~policy
     ~fail_fast:false
     ~check:(fun o -> Checker.agreement o @ Checker.validity o)
     ~range:(lo, hi) ~trials:(e18_c_trials ~quick) ~seed
-    ~run:(fun ~seed ~trial:_ -> run.exec ~domains ~record:true ~inputs ~seed ())
+    ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
     ()
 
 let e18_c_report ~quick ~seed:_ ~trials (stats : Ba_harness.Experiment.stats) =
@@ -316,10 +318,10 @@ let experiments =
       title = "link faults counted against t";
       claim = "Robustness: link faults within the t budget";
       tags = [ Ba_harness.Registry.Robustness ];
-      run = (fun ~policy ~domains ~quick ~seed -> e18 ~policy ~domains ~quick ~seed ());
+      run = (fun ~policy ~domains:_ ~quick ~seed -> e18 ~policy ~quick ~seed ());
       campaign = Some e18_campaign };
     { Ba_harness.Registry.id = "E19";
       title = "crash-recovery gauntlet (Lemma 4 window)";
       claim = "Robustness: crash-recovery (Lemma 4 window)";
       tags = [ Ba_harness.Registry.Robustness ];
-      run = (fun ~policy ~domains ~quick ~seed -> e19 ~policy ~domains ~quick ~seed ()); campaign = None } ]
+      run = (fun ~policy ~domains:_ ~quick ~seed -> e19 ~policy ~quick ~seed ()); campaign = None } ]

@@ -11,13 +11,13 @@
     otherwise); the faulted arms quantify agreement/termination breakdown
     outside the model ([Shape_ok], upgrading to [Pass] on a clean sweep). *)
 val e18 :
-  ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
+  ?policy:Ba_harness.Supervisor.policy -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
 
 (** E19 — crash-recovery gauntlet: rotating send-omission waves (silent for
     rounds [a, b), then resumed) with the full {!Ba_trace.Checker.standard}
     battery — including the Lemma 4 termination-gap window — enforced. *)
 val e19 :
-  ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
+  ?policy:Ba_harness.Supervisor.policy -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
 
 (** Registry descriptors for E18–E19 (tag: robustness). *)
 val experiments : Ba_harness.Registry.descriptor list

@@ -5,15 +5,16 @@ module Report = Ba_harness.Report
 (* Shared workhorses: rounds of Algorithm 3 (Las Vegas) under the
    committee-killer, via the full engine and via the phase model. *)
 
-let engine_killer_rounds ?policy ?(domains = 1) ~n ~t ~trials ~seed () =
+let engine_killer_rounds ?policy ?domains ~n ~t ~trials ~seed () =
   let run =
     Setups.make ~protocol:(Setups.Las_vegas { alpha = 2.0 }) ~adversary:Setups.Committee_killer
       ~n ~t
   in
   let inputs = Setups.inputs Setups.Split ~n ~t in
   let stats =
-    Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy ~trials ~seed
-      ~run:(fun ~seed ~trial:_ -> run.exec ~domains ~record:true ~inputs ~seed ())
+    Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase ?policy
+      ~trials ~seed
+      ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
       ()
   in
   stats.rounds
@@ -30,7 +31,7 @@ let model_killer_rounds ~n ~t ~budget ~trials ~seed =
 (* E3 — round-complexity shape                                         *)
 (* ------------------------------------------------------------------ *)
 
-let e3 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e3 ?policy ?domains ?(quick = false) ~seed () =
   (* Small n: engine vs model validation. Large n: model only, where the
      t^2 log n / n regime lives. *)
   let small_n = if quick then 128 else 256 in
@@ -44,7 +45,7 @@ let e3 ?policy ?(domains = 1) ?(quick = false) ~seed () =
     List.map
       (fun t ->
         let e =
-          engine_killer_rounds ?policy ~domains ~n:small_n ~t ~trials:engine_trials
+          engine_killer_rounds ?policy ?domains ~n:small_n ~t ~trials:engine_trials
             ~seed:(seed_for ~seed ("e3-engine", t))
             ()
         in
@@ -173,7 +174,7 @@ let e3 ?policy ?(domains = 1) ?(quick = false) ~seed () =
 (* E5 — early termination                                              *)
 (* ------------------------------------------------------------------ *)
 
-let e5 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e5 ?policy ?domains ?(quick = false) ~seed () =
   let n = if quick then 128 else 256 in
   let t = Ba_core.Params.max_tolerated n in
   let qs =
@@ -201,12 +202,12 @@ let e5 ?policy ?(domains = 1) ?(quick = false) ~seed () =
             Ba_adversary.Generic.capped ~limit:q
               (Ba_adversary.Skeleton_adv.committee_killer ~config:inst.config ~designated)
           in
-          Ba_sim.Engine.run ~max_rounds:run.default_max_rounds ~sharder:(Setups.sharder_of ~domains)
-            ~record:true ~protocol:inst.protocol ~adversary:adv ~n ~t ~inputs ~seed ()
+          Ba_sim.Engine.run ~max_rounds:run.default_max_rounds ~record:true
+            ~protocol:inst.protocol ~adversary:adv ~n ~t ~inputs ~seed ()
         in
         let stats =
-          Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy
-            ~trials:engine_trials
+          Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
+            ?policy ~trials:engine_trials
             ~seed:(seed_for ~seed ("e5", q))
             ~run:capped_exec ()
         in
@@ -262,7 +263,7 @@ let e5 ?policy ?(domains = 1) ?(quick = false) ~seed () =
 (* E9 — Las Vegas distribution                                         *)
 (* ------------------------------------------------------------------ *)
 
-let e9 ?policy ?(domains = 1) ?(quick = false) ~seed () =
+let e9 ?policy ?(quick = false) ~seed () =
   let n = if quick then 64 else 128 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 60 else 200 in
@@ -271,12 +272,13 @@ let e9 ?policy ?(domains = 1) ?(quick = false) ~seed () =
       ~n ~t
   in
   let inputs = Setups.inputs Setups.Split ~n ~t in
+  (* Serial: the run closure appends to [rounds], shared across trials. *)
   let rounds = ref [] in
   let stats =
     Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy ~trials
       ~seed:(seed_for ~seed "e9")
       ~run:(fun ~seed ~trial:_ ->
-        let o = run.exec ~domains ~record:true ~inputs ~seed () in
+        let o = run.exec ~record:true ~inputs ~seed () in
         rounds := float_of_int o.Ba_sim.Engine.rounds :: !rounds;
         o)
       ()
@@ -404,7 +406,7 @@ let experiments =
       title = "Las Vegas round distribution";
       claim = "Las Vegas variant (Theorem 2)";
       tags = [ Ba_harness.Registry.Scaling ];
-      run = (fun ~policy ~domains ~quick ~seed -> e9 ~policy ~domains ~quick ~seed ()); campaign = None };
+      run = (fun ~policy ~domains:_ ~quick ~seed -> e9 ~policy ~quick ~seed ()); campaign = None };
     { Ba_harness.Registry.id = "E13";
       title = "near-optimality vs BJB lower bound";
       claim = "Near-optimality vs Bar-Joseph-Ben-Or";

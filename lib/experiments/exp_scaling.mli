@@ -10,7 +10,7 @@ val e3 : ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> 
 
 val e5 : ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
 
-val e9 : ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
+val e9 : ?policy:Ba_harness.Supervisor.policy -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
 
 val e13 : ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
 

@@ -9,7 +9,7 @@ module Report = Ba_harness.Report
 (* One protocol arm of E21: run [trials] seeds and summarize the engine's
    meters. Agreement is tracked as a rate because the sampled arms are
    Monte-Carlo (whp, not deterministic). *)
-let e21_arm ~proto ~n ~t ~trials ~domains ~seed =
+let e21_arm ~proto ~n ~t ~trials ~seed =
   let run = Setups.make ~protocol:proto ~adversary:Setups.Silent ~n ~t in
   let inputs = Setups.inputs Setups.Split ~n ~t in
   let rounds = Ba_stats.Summary.create ()
@@ -17,9 +17,10 @@ let e21_arm ~proto ~n ~t ~trials ~domains ~seed =
   and words = Ba_stats.Summary.create ()
   and messages = Ba_stats.Summary.create () in
   let agreed = ref 0 and completed = ref 0 in
+  (* Serial: a hand-written loop accumulating into shared summaries. *)
   for trial = 1 to trials do
     let o =
-      run.Setups.exec ~domains ~record:false ~inputs
+      run.Setups.exec ~record:false ~inputs
         ~seed:(seed_for ~seed ("e21", Setups.protocol_name proto, trial))
         ()
     in
@@ -32,7 +33,7 @@ let e21_arm ~proto ~n ~t ~trials ~domains ~seed =
   done;
   (run.Setups.run_protocol, rounds, bits, words, messages, !agreed, !completed)
 
-let e21 ?(domains = 1) ?(quick = false) ~seed () =
+let e21 ?(quick = false) ~seed () =
   let n = if quick then 256 else 512 in
   let t = 0 in
   let trials = if quick then 8 else 20 in
@@ -40,7 +41,7 @@ let e21 ?(domains = 1) ?(quick = false) ~seed () =
   let arms =
     [ Setups.Ks_broadcast; Setups.Ks_sample { degree }; Setups.Word_budget { degree } ]
   in
-  let data = List.map (fun p -> e21_arm ~proto:p ~n ~t ~trials ~domains ~seed) arms in
+  let data = List.map (fun p -> e21_arm ~proto:p ~n ~t ~trials ~seed) arms in
   let mean_of sel = List.map (fun row -> Ba_stats.Summary.mean (sel row)) data in
   let bits_means = mean_of (fun (_, _, b, _, _, _, _) -> b) in
   let words_means = mean_of (fun (_, _, _, w, _, _, _) -> w) in
@@ -103,7 +104,7 @@ let e21 ?(domains = 1) ?(quick = false) ~seed () =
 (* E22 — sampled-plane scaling: bits vs n at degree sqrt(n)            *)
 (* ------------------------------------------------------------------ *)
 
-let e22 ?(domains = 1) ?(quick = false) ~seed () =
+let e22 ?(quick = false) ~seed () =
   let sizes = if quick then [ 1024; 4096; 16384 ] else [ 1024; 4096; 16384; 65536 ] in
   let trials = if quick then 3 else 5 in
   let data =
@@ -118,9 +119,10 @@ let e22 ?(domains = 1) ?(quick = false) ~seed () =
         and bits = Ba_stats.Summary.create ()
         and words = Ba_stats.Summary.create () in
         let agreed = ref 0 in
+        (* Serial: a hand-written loop accumulating into shared summaries. *)
         for trial = 1 to trials do
           let o =
-            run.Setups.exec ~domains ~record:false ~inputs
+            run.Setups.exec ~record:false ~inputs
               ~seed:(seed_for ~seed ("e22", n, trial))
               ()
           in
@@ -202,9 +204,9 @@ let experiments =
       title = "communication regimes (dense / sampled / word-budget)";
       claim = "Sublinear communication (sampled plane)";
       tags = [ Ba_harness.Registry.Complexity ];
-      run = (fun ~policy:_ ~domains ~quick ~seed -> e21 ~domains ~quick ~seed ()); campaign = None };
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e21 ~quick ~seed ()); campaign = None };
     { Ba_harness.Registry.id = "E22";
       title = "sampled-plane scaling";
       claim = "Sublinear communication (scaling)";
       tags = [ Ba_harness.Registry.Scaling; Ba_harness.Registry.Complexity ];
-      run = (fun ~policy:_ ~domains ~quick ~seed -> e22 ~domains ~quick ~seed ()); campaign = None } ]
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e22 ~quick ~seed ()); campaign = None } ]

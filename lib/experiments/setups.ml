@@ -144,18 +144,12 @@ type run = {
   exec :
     ?max_rounds:int ->
     ?congest_limit_bits:int ->
-    ?domains:int ->
     record:bool ->
     inputs:int array ->
     seed:int64 ->
     unit ->
     Ba_sim.Engine.outcome;
 }
-
-let sharder_of ~domains =
-  if domains < 1 then invalid_arg "Setups: domains must be >= 1"
-  else if domains = 1 then Ba_sim.Engine.sequential
-  else Ba_harness.Parallel.delivery_sharder ~domains
 
 (* Adversary corruption cap: E18/E19 split the fault budget t between the
    Byzantine adversary and the injected benign faults. *)
@@ -208,11 +202,11 @@ let skeleton_run ~faults ~cap ~protocol ~config ~designated ~adversary ~n ~t ~ro
     rounds_per_phase = Some rpp;
     default_max_rounds = round_bound;
     exec =
-      (fun ?max_rounds ?congest_limit_bits ?(domains = 1) ~record ~inputs ~seed () ->
+      (fun ?max_rounds ?congest_limit_bits ~record ~inputs ~seed () ->
         let max_rounds = Option.value max_rounds ~default:round_bound in
         let adv = cap_adversary cap (skeleton_adversary adversary ~config ~designated ~seed) in
-        Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults
-          ~sharder:(sharder_of ~domains) ~record ~protocol ~adversary:adv ~n ~t ~inputs ~seed ()) }
+        Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults ~record ~protocol
+          ~adversary:adv ~n ~t ~inputs ~seed ()) }
 
 let generic_run ?(topology = Ba_sim.Topology.Dense) ~faults ~cap ~protocol ~adversary ~n ~t
     ~round_bound ~rounds_per_phase () =
@@ -228,12 +222,11 @@ let generic_run ?(topology = Ba_sim.Topology.Dense) ~faults ~cap ~protocol ~adve
         rounds_per_phase;
         default_max_rounds = round_bound;
         exec =
-          (fun ?max_rounds ?congest_limit_bits ?(domains = 1) ~record ~inputs ~seed () ->
+          (fun ?max_rounds ?congest_limit_bits ~record ~inputs ~seed () ->
             let max_rounds = Option.value max_rounds ~default:round_bound in
             let adv = cap_adversary cap (Option.get (generic_adversary adversary ~seed)) in
-            Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults
-              ~sharder:(sharder_of ~domains) ~topology ~record ~protocol ~adversary:adv ~n ~t
-              ~inputs ~seed ()) }
+            Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults ~topology ~record
+              ~protocol ~adversary:adv ~n ~t ~inputs ~seed ()) }
 
 let make_impl ~faults ~cap ~protocol ~adversary ~n ~t =
   match protocol with
@@ -278,7 +271,7 @@ let make_impl ~faults ~cap ~protocol ~adversary ~n ~t =
         rounds_per_phase = Some rpp;
         default_max_rounds = round_bound;
         exec =
-          (fun ?max_rounds ?congest_limit_bits ?(domains = 1) ~record ~inputs ~seed () ->
+          (fun ?max_rounds ?congest_limit_bits ~record ~inputs ~seed () ->
             let dealer_seed = Ba_prng.Splitmix64.mix (Int64.add seed 0x5EEDL) in
             let inst = Ba_baselines.Rabin.make ~n ~t ~dealer_seed () in
             let max_rounds = Option.value max_rounds ~default:round_bound in
@@ -288,9 +281,8 @@ let make_impl ~faults ~cap ~protocol ~adversary ~n ~t =
                    ~designated:(fun ~phase:_ _ -> false)
                    ~seed)
             in
-            Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults:fault_plan
-              ~sharder:(sharder_of ~domains) ~record ~protocol:inst.protocol ~adversary:adv ~n ~t
-              ~inputs ~seed ()) }
+            Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults:fault_plan ~record
+              ~protocol:inst.protocol ~adversary:adv ~n ~t ~inputs ~seed ()) }
   | Local_coin ->
       let inst = Ba_baselines.Local_coin.make ~n ~t () in
       skeleton_run ~faults ~cap ~protocol:inst.protocol ~config:inst.config

@@ -79,13 +79,6 @@ type fault_spec = {
 (** All rates zero, no silences — equivalent to passing no spec. *)
 val no_faults : fault_spec
 
-(** [sharder_of ~domains] — {!Ba_sim.Engine.sequential} for 1,
-    {!Ba_harness.Parallel.delivery_sharder} above (what every [exec]'s
-    [?domains] resolves to; exported for experiments that call
-    {!Ba_sim.Engine.run} directly).
-    @raise Invalid_argument if [domains < 1]. *)
-val sharder_of : domains:int -> Ba_sim.Engine.sharder
-
 type run = {
   run_protocol : string;
   run_adversary : string;
@@ -94,15 +87,11 @@ type run = {
   exec :
     ?max_rounds:int ->
     ?congest_limit_bits:int ->
-    ?domains:int ->
     record:bool ->
     inputs:int array ->
     seed:int64 ->
     unit ->
     Ba_sim.Engine.outcome;
-      (** [?domains] (default 1): shard benign-round delivery across that
-          many OCaml domains ({!Ba_harness.Parallel.delivery_sharder});
-          outcomes are byte-identical at any value. *)
 }
 
 (** [make ~protocol ~adversary ~n ~t] — builds the pair.

@@ -16,10 +16,26 @@ let trial_seed = Supervisor.trial_seed
 
 let max_kept_violations = 32
 
-(* Engine-agnostic core: [view] projects the run closure's native outcome
-   into the substrate record, and everything aggregated comes from that
-   projection — so the synchronous wrapper below and async callers share
-   one loop (and one set of supervised-failure semantics). *)
+let rec take n = function [] -> [] | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
+
+(* Folding trial ranges in trial order keeps the first [max_kept_violations]
+   violation entries in trial order. *)
+let merge_stats a b =
+  { trials = a.trials + b.trials;
+    rounds = Ba_stats.Summary.merge a.rounds b.rounds;
+    phases = Ba_stats.Summary.merge a.phases b.phases;
+    messages = Ba_stats.Summary.merge a.messages b.messages;
+    bits = Ba_stats.Summary.merge a.bits b.bits;
+    corruptions = Ba_stats.Summary.merge a.corruptions b.corruptions;
+    agreement_failures = a.agreement_failures + b.agreement_failures;
+    validity_failures = a.validity_failures + b.validity_failures;
+    incomplete = a.incomplete + b.incomplete;
+    violations = take max_kept_violations (a.violations @ b.violations);
+    failures =
+      List.stable_sort
+        (fun (x : Supervisor.failure) y -> compare x.f_trial y.f_trial)
+        (a.failures @ b.failures) }
+
 let check_range ~trials = function
   | None -> (0, trials)
   | Some (lo, hi) ->
@@ -27,22 +43,20 @@ let check_range ~trials = function
         invalid_arg "Experiment.monte_carlo: range outside [0, trials) or empty";
       (lo, hi)
 
-let monte_carlo_view ?rounds_per_phase ?check ?(fail_fast = true)
-    ?(policy = Supervisor.default) ?range ~view ~trials ~seed ~run () =
-  if trials <= 0 then invalid_arg "Experiment.monte_carlo: trials <= 0";
-  let lo, hi = check_range ~trials range in
-  let check =
-    match check with
-    | Some f -> f
-    | None -> fun o -> Ba_trace.Checker.standard_run (view o)
-  in
+(* The serial loop over trials [lo, hi). It raises on the first failing
+   trial unless the policy keeps going, and on the first violation under
+   [fail_fast]; it never writes the policy's sink. Everything aggregated
+   comes from the [view] projection, so the synchronous wrapper and async
+   callers share one loop. *)
+let run_range ~rounds_per_phase ~check ~fail_fast ~(policy : Supervisor.policy) ~view ~seed
+    ~run (lo, hi) =
   let rounds = Ba_stats.Summary.create ()
   and phases = Ba_stats.Summary.create ()
   and messages = Ba_stats.Summary.create ()
   and bits = Ba_stats.Summary.create ()
   and corruptions = Ba_stats.Summary.create () in
   let agreement_failures = ref 0 and validity_failures = ref 0 and incomplete = ref 0 in
-  let violations = ref [] and violation_count = ref 0 in
+  let kept = ref [] and kept_count = ref 0 in
   let failures = ref [] in
   for trial = lo to hi - 1 do
     match Supervisor.run_trial ~policy ~seed ~trial ~view ~run with
@@ -65,8 +79,13 @@ let monte_carlo_view ?rounds_per_phase ?check ?(fail_fast = true)
         if not ro.Ba_sim.Run.completed then incr incomplete;
         let vs = check o in
         if vs <> [] then begin
-          incr violation_count;
-          if List.length !violations < max_kept_violations then violations := vs @ !violations;
+          List.iter
+            (fun v ->
+              if !kept_count < max_kept_violations then begin
+                kept := v :: !kept;
+                incr kept_count
+              end)
+            vs;
           if fail_fast then
             failwith
               (Format.asprintf "experiment trial %d (seed %Ld): %a" trial
@@ -76,8 +95,6 @@ let monte_carlo_view ?rounds_per_phase ?check ?(fail_fast = true)
                  vs)
         end
   done;
-  let failures = List.rev !failures in
-  Option.iter (fun s -> Supervisor.record s failures) policy.failure_sink;
   { trials = hi - lo;
     rounds;
     phases;
@@ -87,10 +104,63 @@ let monte_carlo_view ?rounds_per_phase ?check ?(fail_fast = true)
     agreement_failures = !agreement_failures;
     validity_failures = !validity_failures;
     incomplete = !incomplete;
-    violations = !violations;
-    failures }
+    violations = List.rev !kept;
+    failures = List.rev !failures }
 
-let monte_carlo ?rounds_per_phase ?check ?fail_fast ?policy ?range ~trials ~seed ~run () =
+(* [domains] contiguous chunks of [lo, hi): the first runs on the calling
+   domain, the rest on spawned ones, and the results fold in trial order.
+   Joining in order re-raises the exception of the lowest chunk that
+   raised, so an aborted run cites the lowest failing trial at any domain
+   count. *)
+let run_chunks ~domains ~chunk (lo, hi) =
+  let k = min domains (hi - lo) in
+  let bound d = lo + (d * (hi - lo) / k) in
+  (* Backtrace recording is domain-local in OCaml 5: propagate the calling
+     domain's setting so a failure record's backtrace digest does not
+     depend on which domain ran the trial. *)
+  let record_bt = Printexc.backtrace_status () in
+  let handles =
+    List.init (k - 1) (fun d ->
+        Domain.spawn (fun () ->
+            Printexc.record_backtrace record_bt;
+            chunk (bound (d + 1), bound (d + 2))))
+  in
+  (* Every spawned domain is joined before an exception escapes, including
+     one raised by the calling domain's own chunk. *)
+  let joined = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !joined then
+        List.iter
+          (* lint: allow D008 -- teardown join must not mask the primary raise *)
+          (fun h -> try ignore (Domain.join h : stats) with _ -> ())
+          handles)
+    (fun () ->
+      let s0 = chunk (bound 0, bound 1) in
+      let ss = List.map Domain.join handles in
+      joined := true;
+      List.fold_left merge_stats s0 ss)
+
+let monte_carlo_view ?(domains = 1) ?rounds_per_phase ?check ?(fail_fast = true)
+    ?(policy = Supervisor.default) ?range ~view ~trials ~seed ~run () =
+  if trials <= 0 then invalid_arg "Experiment.monte_carlo: trials <= 0";
+  if domains < 1 then invalid_arg "Experiment.monte_carlo: domains < 1";
+  let range = check_range ~trials range in
+  let check =
+    match check with
+    | Some f -> f
+    | None -> fun o -> Ba_trace.Checker.standard_run (view o)
+  in
+  let stats =
+    run_chunks ~domains
+      ~chunk:(run_range ~rounds_per_phase ~check ~fail_fast ~policy ~view ~seed ~run)
+      range
+  in
+  Option.iter (fun s -> Supervisor.record s stats.failures) policy.failure_sink;
+  stats
+
+let monte_carlo ?domains ?rounds_per_phase ?check ?fail_fast ?policy ?range ~trials ~seed
+    ~run () =
   (* The synchronous default checker keeps the record-level lemma checks
      (decided coherence, frozen finishers, termination gap) on top of the
      substrate-level audit. *)
@@ -99,27 +169,7 @@ let monte_carlo ?rounds_per_phase ?check ?fail_fast ?policy ?range ~trials ~seed
     | Some f -> f
     | None -> fun o -> Ba_trace.Checker.standard ?rounds_per_phase o
   in
-  monte_carlo_view ?rounds_per_phase ~check ?fail_fast ?policy ?range
+  monte_carlo_view ?domains ?rounds_per_phase ~check ?fail_fast ?policy ?range
     ~view:Ba_sim.Engine.to_run ~trials ~seed ~run ()
-
-(* Merging keeps at most this many violation records, mirroring the serial
-   runner's cap. *)
-let rec take n = function [] -> [] | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-
-let merge_stats a b =
-  { trials = a.trials + b.trials;
-    rounds = Ba_stats.Summary.merge a.rounds b.rounds;
-    phases = Ba_stats.Summary.merge a.phases b.phases;
-    messages = Ba_stats.Summary.merge a.messages b.messages;
-    bits = Ba_stats.Summary.merge a.bits b.bits;
-    corruptions = Ba_stats.Summary.merge a.corruptions b.corruptions;
-    agreement_failures = a.agreement_failures + b.agreement_failures;
-    validity_failures = a.validity_failures + b.validity_failures;
-    incomplete = a.incomplete + b.incomplete;
-    violations = take max_kept_violations (a.violations @ b.violations);
-    failures =
-      List.stable_sort
-        (fun (x : Supervisor.failure) y -> compare x.f_trial y.f_trial)
-        (a.failures @ b.failures) }
 
 let sweep xs f = List.map (fun x -> (x, f x)) xs

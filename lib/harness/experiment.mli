@@ -15,7 +15,8 @@ type stats = {
   agreement_failures : int;
   validity_failures : int;
   incomplete : int;
-  violations : Ba_trace.Checker.violation list;  (** most recent first, capped *)
+  violations : Ba_trace.Checker.violation list;
+      (** the first 32 violation entries, in trial order *)
   failures : Supervisor.failure list;
       (** supervised trial failures kept by a [keep_going] policy, in trial
           order; failed trials are excluded from every aggregate above *)
@@ -42,8 +43,21 @@ type stats = {
     {!merge_stats} reproduces the unsharded statistics byte-for-byte — the
     contract the campaign layer's checkpoints rely on (DESIGN.md §14).
     [stats.trials] counts only the executed range.
-    @raise Invalid_argument if the range is empty or outside [0, trials). *)
+    @param domains run the trials across this many OCaml domains (default
+    1, the plain serial loop). The range is cut into contiguous chunks, one
+    per domain; each chunk runs the serial loop, the calling domain runs the
+    first, and the chunks are joined and folded with {!merge_stats} in trial
+    order. Per-trial seeds depend only on the trial index, so every
+    aggregate, the failure records and the policy's sink contents are
+    identical at any domain count. An abort (a failing trial without
+    [keep_going], or a violation under [fail_fast]) cites the lowest
+    failing trial at any domain count, and is raised only after every
+    spawned domain has been joined. [run] and [check] must not share
+    mutable state between trials when [domains > 1].
+    @raise Invalid_argument if the range is empty or outside [0, trials),
+    or if [domains < 1]. *)
 val monte_carlo :
+  ?domains:int ->
   ?rounds_per_phase:int ->
   ?check:(Ba_sim.Engine.outcome -> Ba_trace.Checker.violation list) ->
   ?fail_fast:bool ->
@@ -66,6 +80,7 @@ val monte_carlo :
     checker. Async callers pass [view = Ba_async.Async_engine.to_run] (or
     [Fun.id] for closures that already return substrate outcomes). *)
 val monte_carlo_view :
+  ?domains:int ->
   ?rounds_per_phase:int ->
   ?check:('o -> Ba_trace.Checker.violation list) ->
   ?fail_fast:bool ->
@@ -81,9 +96,9 @@ val monte_carlo_view :
 (** [merge_stats a b] — fold two disjoint trial ranges' statistics into one.
     Summary merging is exact ({!Ba_stats.Summary.merge}), counters add, and
     failure records are re-sorted by trial, so folding per-shard stats in
-    any order reproduces the single-pass aggregates byte-for-byte (the
-    capped [violations] list keeps concatenation order and is the one field
-    whose {e ordering} depends on the fold order). *)
+    any order reproduces the single-pass aggregates byte-for-byte. The
+    capped [violations] list keeps the first entries of [a] then [b], so it
+    matches the single pass when the shards are folded in trial order. *)
 val merge_stats : stats -> stats -> stats
 
 (** [trial_seed ~seed ~trial] — the derived per-trial seed (exposed so tests

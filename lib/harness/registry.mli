@@ -1,6 +1,6 @@
 (** Typed experiment registry.
 
-    Each claim experiment (E1–E17, DESIGN.md §5) is described once by a
+    Each claim experiment (E1–E23, DESIGN.md §5) is described once by a
     {!descriptor} — id, title, paper claim, tags, and a quick/full runner
     returning a structured {!Report.t}. The registry is an immutable
     collection built with {!of_list} (duplicate ids are rejected at
@@ -50,9 +50,11 @@ type descriptor = {
       (** [policy] supervises the experiment's Monte-Carlo trials — drivers
           pass a [keep_going] policy with a sink to collect trial failures
           instead of aborting; pass {!Supervisor.default} for the legacy
-          abort-on-crash behaviour. [domains] shards within-round delivery
-          ({!Ba_sim.Engine.sharder}); pass 1 for the serial engine — reports
-          are byte-identical either way, only wall-clock changes. *)
+          abort-on-crash behaviour. [domains] runs the experiment's
+          Monte-Carlo trials across that many OCaml domains
+          ({!Experiment.monte_carlo}); experiments whose trials share
+          mutable state ignore it. Pass 1 for the serial loop — reports are
+          byte-identical either way, only wall-clock changes. *)
   campaign : campaign option;
       (** the experiment's campaign form, when it has one ([ba_sweep
           --workers] refuses experiments without it) *)

@@ -44,8 +44,8 @@ val retry_seed : seed:int64 -> trial:int -> attempt:int -> int64
 (** Accumulates failure records across runner calls so drivers can attach
     them to the experiment's {!Report} without threading state through every
     experiment. NOT domain-safe: create one per experiment invocation and
-    touch it only from the invoking domain (the parallel runner merges
-    chunk failures on the main domain before recording). *)
+    touch it only from the invoking domain ({!Experiment.monte_carlo}
+    merges chunk failures on the calling domain before recording). *)
 type sink
 
 val sink : unit -> sink

@@ -19,20 +19,15 @@ type outcome = {
   records : round_record list;
 }
 
-type sharder = { s_shards : int; s_run : (unit -> unit) array -> unit }
-
-let sequential = { s_shards = 1; s_run = (fun thunks -> Array.iter (fun f -> f ()) thunks) }
-
 let validate ~n ~t ~inputs =
   if t < 0 || t >= n then invalid_arg "Engine.run: need 0 <= t < n";
   if Array.length inputs <> n then invalid_arg "Engine.run: inputs length <> n";
   Array.iter (fun b -> if b <> 0 && b <> 1 then invalid_arg "Engine.run: inputs must be 0/1") inputs
 
-let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = sequential)
-    ?(topology = Topology.Dense) ?trace ~(protocol : ('state, 'msg) Protocol.t)
-    ~(adversary : ('state, 'msg) Adversary.t) ~n ~t ~inputs ~seed () =
+let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = Topology.Dense)
+    ?trace ~(protocol : ('state, 'msg) Protocol.t) ~(adversary : ('state, 'msg) Adversary.t) ~n ~t
+    ~inputs ~seed () =
   validate ~n ~t ~inputs;
-  if sharder.s_shards < 1 then invalid_arg "Engine.run: sharder must offer at least one shard";
   let max_rounds =
     match max_rounds with Some m -> m | None -> Protocol.default_round_cap ~n
   in
@@ -136,8 +131,7 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
 
        - benign broadcast (no fault instance, no corrupted node): every
          live recipient's inbox is the same array, so one shared plane is
-         packed once and recv fans out over it — optionally sharded across
-         domains, each shard on its own cache view;
+         packed once and every recv reads it;
        - Byzantine senders or link faults: the exact per-link loop on a
          per-recipient copy of the honest slab (recipients ascending, then
          senders ascending): [byz_msg] for a corrupted sender, then
@@ -150,11 +144,10 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
     done;
     (match (topo, faults, !corrupted_now) with
     | Some ti, _, _ ->
-        (* Restricted topology: per-recipient delivery lists, built entirely
-           on the calling domain in a single src-ascending pass — sampling,
-           Byzantine patching and fault draws all happen here, so outcomes
-           are byte-identical at any shard count. Each list is built
-           newest-head, then materialized back-to-front into sorted slices.
+        (* Restricted topology: per-recipient delivery lists, built in a
+           single src-ascending pass — sampling, Byzantine patching and
+           fault draws all happen here. Each list is built newest-head, then
+           materialized back-to-front into sorted slices.
            Byzantine traffic is constrained to the sender's sampled links:
            corruption buys a node's slots in the topology, not extra edges
            (DESIGN.md §13). *)
@@ -237,23 +230,10 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
             entries;
           Plane.sparse_slice ?codes ~n ~srcs ~msgs ~lo:0 ~hi:len ()
         in
-        let deliver_range lo hi =
-          for u = lo to hi do
-            if live u then
-              new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(plane_of u)
-          done
-        in
-        if sharder.s_shards > 1 && n > 1 then begin
-          let shards = min sharder.s_shards n in
-          let chunk = (n + shards - 1) / shards in
-          let thunks =
-            Array.init shards (fun i ->
-                let lo = i * chunk and hi = min (n - 1) (((i + 1) * chunk) - 1) in
-                fun () -> deliver_range lo hi)
-          in
-          sharder.s_run thunks
-        end
-        else deliver_range 0 (n - 1)
+        for u = 0 to n - 1 do
+          if live u then
+            new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(plane_of u)
+        done
     | None, None, [] ->
         let live_recipients = ref 0 in
         for v = 0 to n - 1 do
@@ -275,24 +255,10 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
           | None -> ()
         done;
         let plane = Plane.shared ?encode:codec ~slab honest_msgs in
-        let deliver_range plane lo hi =
-          for u = lo to hi do
-            if live u then
-              new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:plane
-          done
-        in
-        if sharder.s_shards > 1 && n > 1 then begin
-          let shards = min sharder.s_shards n in
-          let chunk = (n + shards - 1) / shards in
-          let thunks =
-            Array.init shards (fun i ->
-                let lo = i * chunk and hi = min (n - 1) (((i + 1) * chunk) - 1) in
-                let view = Plane.shard_view plane in
-                fun () -> deliver_range view lo hi)
-          in
-          sharder.s_run thunks
-        end
-        else deliver_range plane 0 (n - 1)
+        for u = 0 to n - 1 do
+          if live u then
+            new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:plane
+        done
     | None, _, _ ->
         for u = 0 to n - 1 do
           if live u then begin

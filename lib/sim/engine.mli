@@ -15,22 +15,6 @@
 
     The run ends when every honest node has halted, or at [max_rounds]. *)
 
-(** Delivery sharding (DESIGN.md §10). In a benign broadcast round every
-    live recipient reads the same shared message plane, so their [recv]
-    steps are independent and the engine can split them across [s_shards]
-    contiguous node ranges: it builds one thunk per shard and hands the
-    array to [s_run], which must run every thunk to completion before
-    returning (in any order, on any domain). Per lint rule D007 the engine
-    never spawns domains itself — [Ba_harness.Parallel.delivery_sharder]
-    supplies a domain-backed implementation. Sharding never applies to
-    rounds with Byzantine senders or link faults (those are per-recipient
-    anyway), and outcomes are byte-identical at any shard count because
-    recv draws only from per-node RNG streams. *)
-type sharder = { s_shards : int; s_run : (unit -> unit) array -> unit }
-
-(** Runs the thunks in order on the calling domain — the default. *)
-val sequential : sharder
-
 (** Per-round record kept when [record:true], consumed by trace checkers. *)
 type round_record = {
   rr_round : int;
@@ -68,8 +52,6 @@ type outcome = {
     stream is derived from [seed], every injected event is metered, and
     passing {!Faults.none} (or omitting the argument) is the exact fault-free
     engine.
-    @param sharder how to fan benign-round delivery out over domains
-    (default {!sequential}); any shard count yields byte-identical outcomes.
     @param topology the per-round delivery {!Topology.plan} (default
     [Topology.Dense], which is bit-for-bit the historical dense engine). A
     restricted plan delivers each broadcast only to the sender's per-round
@@ -81,7 +63,7 @@ type outcome = {
     Link faults compose: {!Faults.deliver} is applied to every sampled
     edge in the same deterministic order. Sampling draws from a dedicated
     salted stream keyed by [(seed, round, src)], so recipient sets are
-    independent of adversary behaviour and of the shard count.
+    independent of adversary behaviour.
     @param trace unified substrate trace hook ({!Run.trace}); the
     synchronous engine emits round-granularity events only ([Run.Tick] per
     round, [Run.Corrupt] per corruption — per-message events would defeat
@@ -89,14 +71,13 @@ type outcome = {
     nothing on the hot path.
     @param inputs binary inputs, one per node (length [n]).
     @raise Invalid_argument if [inputs] has the wrong length, if any input is
-    not 0/1, if [t < 0] or [t >= n], if the fault plan names a node [>= n],
-    or if the sharder offers no shard. *)
+    not 0/1, if [t < 0] or [t >= n], or if the fault plan names a node
+    [>= n]. *)
 val run :
   ?max_rounds:int ->
   ?record:bool ->
   ?congest_limit_bits:int ->
   ?faults:'msg Faults.plan ->
-  ?sharder:sharder ->
   ?topology:Topology.plan ->
   ?trace:Run.trace ->
   protocol:('state, 'msg) Protocol.t ->

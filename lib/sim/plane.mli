@@ -79,8 +79,7 @@ val sparse_slice :
   'msg t
 
 (** [shard_view t] — a view sharing [t]'s payloads and codes but with its
-    own memo cache, so concurrent recipients on different domains never
-    touch the same mutable cell. *)
+    own empty memo cache (a tally on it is computed, not memo-hit). *)
 val shard_view : 'msg t -> 'msg t
 
 (** {1 Boxed access (protocol side)} *)

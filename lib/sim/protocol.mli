@@ -36,7 +36,7 @@ type ('state, 'msg) t = {
       (** [Plane.get inbox v] is the message received from node [v] (None if
           silent or halted); slot [me] is the node's own broadcast. The
           plane is only valid for the duration of the call — in benign
-          rounds it is shared between recipients (and possibly domains), so
+          rounds it is shared between recipients, so
           [recv] must not capture it or mutate anything reachable from it. *)
   output : 'state -> int option;  (** the decided value, once decided *)
   halted : 'state -> bool;  (** node has left the protocol *)

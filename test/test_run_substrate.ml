@@ -1,13 +1,12 @@
 (* The unified run substrate: salted fault streams on the asynchronous
    plane are deterministic in the seed, the substrate checkers audit async
    outcomes, async trials are supervised exactly like synchronous ones, and
-   the parallel runner produces byte-identical failure records to the
-   serial one for crashing async trials. *)
+   trial fan-out across domains produces byte-identical failure records to
+   the serial loop for crashing async trials. *)
 
 module Setups = Ba_experiments.Setups
 module Supervisor = Ba_harness.Supervisor
 module Experiment = Ba_harness.Experiment
-module Parallel = Ba_harness.Parallel
 module Checker = Ba_trace.Checker
 module Run = Ba_sim.Run
 
@@ -109,33 +108,36 @@ let test_parallel_matches_serial_on_crashing_async_trial () =
     if trial = 3 then failwith "poisoned async trial"
     else a.Setups.arun_exec ~inputs ~seed ()
   in
-  let sink_s = Supervisor.sink () and sink_p = Supervisor.sink () in
-  let st_s =
-    Experiment.monte_carlo_view
-      ~policy:(Supervisor.supervised ~sink:sink_s ())
-      ~view:Fun.id ~trials:8 ~seed:11L ~run ()
+  let supervised domains =
+    let sink = Supervisor.sink () in
+    let st =
+      Experiment.monte_carlo_view ~domains
+        ~policy:(Supervisor.supervised ~sink ())
+        ~view:Fun.id ~trials:8 ~seed:11L ~run ()
+    in
+    (st, Supervisor.drain sink)
   in
-  let st_p =
-    Parallel.monte_carlo_view ~domains:4
-      ~policy:(Supervisor.supervised ~sink:sink_p ())
-      ~view:Fun.id ~trials:8 ~seed:11L ~run ()
-  in
+  let st_s, sink_s = supervised 1 in
   Alcotest.(check int) "one failure (serial)" 1 (List.length st_s.Experiment.failures);
-  Alcotest.(check bool) "identical failure records" true
-    (st_s.Experiment.failures = st_p.Experiment.failures);
-  Alcotest.(check bool) "identical sink contents" true
-    (Supervisor.drain sink_s = Supervisor.drain sink_p);
   let f = List.hd st_s.Experiment.failures in
   Alcotest.(check bool) "kind is crash" true (f.Supervisor.f_kind = Supervisor.Crash);
   Alcotest.(check int) "trial recorded" 3 f.f_trial;
-  Alcotest.(check (float 1e-9)) "same mean steps"
-    (Ba_stats.Summary.mean st_s.Experiment.rounds)
-    (Ba_stats.Summary.mean st_p.Experiment.rounds);
-  Alcotest.(check (float 1e-9)) "same mean bits"
-    (Ba_stats.Summary.mean st_s.Experiment.bits)
-    (Ba_stats.Summary.mean st_p.Experiment.bits);
-  Alcotest.(check int) "same incomplete count" st_s.Experiment.incomplete
-    st_p.Experiment.incomplete
+  List.iter
+    (fun domains ->
+      let st_p, sink_p = supervised domains in
+      let label what = Printf.sprintf "%s (domains=%d)" what domains in
+      Alcotest.(check bool) (label "identical failure records") true
+        (st_s.Experiment.failures = st_p.Experiment.failures);
+      Alcotest.(check bool) (label "identical sink contents") true (sink_s = sink_p);
+      Alcotest.(check (float 1e-9)) (label "same mean steps")
+        (Ba_stats.Summary.mean st_s.Experiment.rounds)
+        (Ba_stats.Summary.mean st_p.Experiment.rounds);
+      Alcotest.(check (float 1e-9)) (label "same mean bits")
+        (Ba_stats.Summary.mean st_s.Experiment.bits)
+        (Ba_stats.Summary.mean st_p.Experiment.bits);
+      Alcotest.(check int) (label "same incomplete count") st_s.Experiment.incomplete
+        st_p.Experiment.incomplete)
+    [ 2; 4 ]
 
 let test_silence_windows_metered () =
   (* A silenced sender's suppressed messages are metered as crash silences

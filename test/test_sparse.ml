@@ -259,41 +259,6 @@ let test_topology_validate () =
       (Topology.Committees { count = 0 }, 8);
       (Topology.Committees { count = 9 }, 8) ]
 
-(* ---------------- sampled engine determinism ---------------- *)
-
-let exec_setup run ~domains ~inputs ~seed =
-  run.Ba_experiments.Setups.exec ~domains ~record:true ~inputs ~seed ()
-
-let sparse_case ~protocol ~adversary ~faults ~n ~t ~seed label =
-  let open Ba_experiments.Setups in
-  let run =
-    match faults with
-    | None -> make ~protocol ~adversary ~n ~t
-    | Some faults -> make_faulty ~faults ~protocol ~adversary ~n ~t
-  in
-  let inputs = inputs Split ~n ~t in
-  let base = exec_setup run ~domains:1 ~inputs ~seed in
-  List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: identical outcome at domains=%d" label domains)
-        true
-        (base = exec_setup run ~domains ~inputs ~seed))
-    [ 2; 4 ]
-
-let test_sampled_engine_across_domains () =
-  let open Ba_experiments.Setups in
-  (* n deliberately not a multiple of the domain counts *)
-  sparse_case ~protocol:(Ks_sample { degree = 5 }) ~adversary:Silent ~faults:None
-    ~n:37 ~t:0 ~seed:51L "ks-sample/silent";
-  sparse_case ~protocol:(Ks_sample { degree = 5 }) ~adversary:Static_crash
-    ~faults:None ~n:37 ~t:4 ~seed:52L "ks-sample/static-crash";
-  sparse_case ~protocol:(Word_budget { degree = 5 }) ~adversary:Silent ~faults:None
-    ~n:37 ~t:0 ~seed:53L "word-budget/silent";
-  let faults = { no_faults with fs_drop = 0.08; fs_duplicate = 0.05 } in
-  sparse_case ~protocol:(Ks_sample { degree = 5 }) ~adversary:Silent
-    ~faults:(Some faults) ~n:37 ~t:0 ~seed:54L "ks-sample/faulty-links"
-
 (* ---------------- protocol family ---------------- *)
 
 let run_once ~protocol ~n ~t ~pattern ~seed =
@@ -410,9 +375,6 @@ let () =
       ( "topology",
         [ Alcotest.test_case "recipient sets" `Quick test_topology_recipients;
           Alcotest.test_case "plan validation" `Quick test_topology_validate ] );
-      ( "sampled engine",
-        [ Alcotest.test_case "outcomes identical at domains 1/2/4" `Quick
-            test_sampled_engine_across_domains ] );
       ( "protocols",
         [ Alcotest.test_case "ks validity under unanimity" `Quick
             test_ks_validity_unanimous;

@@ -170,7 +170,7 @@ let scan ~ctx structure =
         add loc D007
           ("Domain." ^ f
          ^ " outside lib/harness leaks domains on exceptions; go through \
-            Ba_harness.Parallel/Supervisor, which join via Fun.protect")
+            Ba_harness.Experiment.monte_carlo, which joins via Fun.protect")
     | [ "Hashtbl"; ("iter" | "fold") ] | [ "MoreLabels"; "Hashtbl"; ("iter" | "fold") ] ->
         add loc D004
           (name
@@ -266,7 +266,7 @@ let scan ~ctx structure =
                 (match mutable_ctor (norm_path txt) with
                 | Some name ->
                     add e.pexp_loc D003
-                      (name ^ " at module level is shared across Domain.spawn (Parallel.monte_carlo); allocate per call or per trial")
+                      (name ^ " at module level is shared across Domain.spawn (Experiment.monte_carlo); allocate per call or per trial")
                 | None -> ());
                 super.expr self e
             | Pexp_array _ ->

@@ -2,7 +2,7 @@
 
     The reproduction's claims rest on bit-identical seed replay: every
     Monte-Carlo result must be a pure function of its seed, and
-    {!Ba_harness.Parallel.monte_carlo} fans trials across OCaml 5 Domains,
+    {!Ba_harness.Experiment.monte_carlo} fans trials across OCaml 5 Domains,
     so hidden shared mutable state or ambient randomness/wall-clock reads
     silently corrupt both reproducibility and domain-safety. These rules
     are enforced over the Parsetree of every [.ml] under [lib/], [bin/],
@@ -26,8 +26,8 @@
     - {b D006} every [lib/] module has an interface ([.mli]).
     - {b D007} no bare [Domain.spawn]/[Domain.join] outside [lib/harness]
       — ad-hoc domains leak on exceptions; all fan-out goes through the
-      supervised runners ([Ba_harness.Parallel]/[Ba_harness.Supervisor]),
-      which always join via [Fun.protect].
+      supervised Monte-Carlo runner ([Ba_harness.Experiment.monte_carlo]),
+      which always joins via [Fun.protect].
     - {b D008} no catch-all exception handlers ([try ... with _ ->], an
       unguarded variable pattern, or [match ... with exception _ ->]) in
       [lib/] — they swallow [Stack_overflow], the explorers' control
