@@ -8,8 +8,7 @@
    - [Sampled { degree }]: King–Saia-style uniform sampling — [degree]
      distinct recipients drawn per sender per round from a salted SplitMix64
      stream keyed by (seed, round, sender). Re-keying per (round, src) makes
-     the sets independent of evaluation order, so delivery sharding cannot
-     perturb them and any domain count replays byte-identically.
+     the sets independent of evaluation order.
    - [Committees { count }]: round-robin committee-to-committee links —
      node [v] belongs to committee [v mod count] and reaches its own
      committee plus the round's designated committee [(round - 1) mod

@@ -10,7 +10,8 @@
     [(seed, round, src)] — sampling is re-keyed per (round, sender) from a
     salted SplitMix64 stream independent of the per-node protocol streams,
     the adversary stream and the fault stream. Corruptions therefore never
-    perturb sampling, and delivery sharding cannot reorder draws. *)
+    perturb sampling, and the order recipient sets are queried in cannot
+    reorder draws. *)
 
 type plan =
   | Dense  (** every sender reaches every recipient — the classical plane *)
