@@ -177,6 +177,7 @@ let () =
            test_fail_fast_message_domain_independent;
          Alcotest.test_case "keep-going in parallel" `Quick test_keep_going_in_parallel;
          Alcotest.test_case "rejects nonpositive domains" `Quick
-           test_rejects_nonpositive_domains;
-         Alcotest.test_case "violations: first 32 in trial order" `Quick
+           test_rejects_nonpositive_domains ]);
+      ("fan-out contract",
+       [ Alcotest.test_case "violations: first 32 in trial order" `Quick
            test_violations_contract ]) ]

@@ -259,6 +259,32 @@ let test_topology_validate () =
       (Topology.Committees { count = 0 }, 8);
       (Topology.Committees { count = 9 }, 8) ]
 
+(* ---------------- sampled engine ---------------- *)
+
+let sparse_case ~protocol ~adversary ~faults ~n ~t ~seed label =
+  let open Ba_experiments.Setups in
+  let run =
+    match faults with
+    | None -> make ~protocol ~adversary ~n ~t
+    | Some faults -> make_faulty ~faults ~protocol ~adversary ~n ~t
+  in
+  let inputs = inputs Split ~n ~t in
+  let exec () = run.exec ~record:true ~inputs ~seed () in
+  let base = exec () in
+  Alcotest.(check bool) (label ^ ": identical outcome on rerun") true (base = exec ())
+
+let test_sampled_engine_reproducible () =
+  let open Ba_experiments.Setups in
+  sparse_case ~protocol:(Ks_sample { degree = 5 }) ~adversary:Silent ~faults:None
+    ~n:37 ~t:0 ~seed:51L "ks-sample/silent";
+  sparse_case ~protocol:(Ks_sample { degree = 5 }) ~adversary:Static_crash
+    ~faults:None ~n:37 ~t:4 ~seed:52L "ks-sample/static-crash";
+  sparse_case ~protocol:(Word_budget { degree = 5 }) ~adversary:Silent ~faults:None
+    ~n:37 ~t:0 ~seed:53L "word-budget/silent";
+  let faults = { no_faults with fs_drop = 0.08; fs_duplicate = 0.05 } in
+  sparse_case ~protocol:(Ks_sample { degree = 5 }) ~adversary:Silent
+    ~faults:(Some faults) ~n:37 ~t:0 ~seed:54L "ks-sample/faulty-links"
+
 (* ---------------- protocol family ---------------- *)
 
 let run_once ~protocol ~n ~t ~pattern ~seed =
@@ -375,6 +401,9 @@ let () =
       ( "topology",
         [ Alcotest.test_case "recipient sets" `Quick test_topology_recipients;
           Alcotest.test_case "plan validation" `Quick test_topology_validate ] );
+      ( "sampled engine",
+        [ Alcotest.test_case "outcomes reproducible per seed" `Quick
+            test_sampled_engine_reproducible ] );
       ( "protocols",
         [ Alcotest.test_case "ks validity under unanimity" `Quick
             test_ks_validity_unanimous;
