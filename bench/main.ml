@@ -1,49 +1,13 @@
-(* Benchmark harness.
+(* Micro-benchmark harness.
 
-   Two parts:
-   1. the registered experiment suite (E1-E23, Experiments.registry): the
-      paper is a theory result, so its claims are regenerated empirically —
-      tables and figures on stdout, optionally a schema-versioned JSON
-      suite document (see DESIGN.md section 5 / EXPERIMENTS.md);
-   2. Bechamel micro-benchmarks of the substrates (PRNG, coin Monte-Carlo,
-      engine rounds, phase model), optionally emitted as a schema-versioned
-      micro-baseline document for the @perf-smoke regression gate
-      (DESIGN.md section 10).
+   Bechamel micro-benchmarks of the substrates (PRNG, coin Monte-Carlo,
+   engine rounds, async steps, phase model, the sparse plane), optionally
+   emitted as a schema-versioned micro-baseline document for the
+   @perf-smoke regression gate (DESIGN.md section 10). The registered
+   experiment suite (E1-E23) runs through bin/ba_sweep instead.
 
    Usage:
-     dune exec bench/main.exe                 # everything, quick profile
-     dune exec bench/main.exe -- --full       # full-size experiments
-     dune exec bench/main.exe -- --micro-only [--quota-ms N] [--json BENCH_micro.json]
-     dune exec bench/main.exe -- --experiments-only [--domains K]
-     dune exec bench/main.exe -- --json BENCH_experiments.json *)
-
-let run_experiments ~quick ~seed ~domains ~json_path =
-  (* Stream each report as it completes (the full profile takes minutes;
-     a single batched run would sit silent until the very end). *)
-  let registry = Ba_experiments.Experiments.registry in
-  let entries =
-    List.map
-      (fun (d : Ba_harness.Registry.descriptor) ->
-        let t0 = Unix.gettimeofday () in
-        let r = d.run ~policy:Ba_harness.Supervisor.default ~domains ~quick ~seed in
-        let wall = Unix.gettimeofday () -. t0 in
-        Format.printf "%a@." Ba_experiments.Experiments.pp_report r;
-        Format.print_flush ();
-        (d, r, Some wall))
-      (Ba_harness.Registry.all registry)
-  in
-  match json_path with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Ba_harness.Registry.suite_json ~seed
-          ~profile:(if quick then "quick" else "full")
-          ~entries ()
-      in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (Ba_harness.Json.to_string ~pretty:true doc);
-          Out_channel.output_char oc '\n');
-      Printf.printf "wrote %s\n%!" path
+     dune exec bench/main.exe -- [--quota-ms N] [--json BENCH_micro.json] *)
 
 (* ---------------- Bechamel micro-benchmarks ---------------- *)
 
@@ -243,54 +207,26 @@ let write_micro_json ~path measured =
       Out_channel.output_char oc '\n');
   Printf.printf "wrote %s\n%!" path
 
-let main full micro_only experiments_only quota_ms json_path seed domains =
+let main quota_ms json_path =
   if quota_ms <= 0 then begin
     prerr_endline "bench: --quota-ms must be > 0";
     2
   end
-  else if domains <= 0 then begin
-    prerr_endline "bench: --domains must be > 0";
-    2
-  end
   else begin
-    if micro_only then begin
-      let measured = run_micro ~quota_ms in
-      match json_path with None -> () | Some path -> write_micro_json ~path measured
-    end
-    else begin
-      let quick = not full in
-      if not experiments_only then ignore (run_micro ~quota_ms : (string * float) list);
-      Printf.printf "\n== experiment suite (%s profile, seed %Ld) ==\n%!"
-        (if quick then "quick" else "full") seed;
-      run_experiments ~quick ~seed ~domains ~json_path
-    end;
+    let measured = run_micro ~quota_ms in
+    Option.iter (fun path -> write_micro_json ~path measured) json_path;
     0
   end
 
 let cmd =
   let open Cmdliner in
-  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
-  let full = flag "full" "Full-size experiments (default: the quick profile)."
-  and micro_only = flag "micro-only" "Run only the Bechamel micro-benchmarks."
-  and experiments_only = flag "experiments-only" "Run only the experiment suite."
-  and quota_ms =
+  let quota_ms =
     Arg.(value & opt int 500
          & info [ "quota-ms" ] ~docv:"MS" ~doc:"Bechamel time quota per micro-benchmark.")
   and json_path =
     Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-             ~doc:"Write the micro baseline (with $(b,--micro-only)) or the experiment \
-                   suite document to PATH.")
-  and seed =
-    Arg.(value & opt int64 2026L & info [ "seed" ] ~docv:"SEED" ~doc:"Experiment suite seed.")
-  and domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"K"
-             ~doc:"Run the experiment suite's trials across K domains.")
+         & info [ "json" ] ~docv:"PATH" ~doc:"Write the micro baseline document to PATH.")
   in
-  Cmd.v
-    (Cmd.info "bench" ~doc:"micro-benchmarks and the registered experiment suite")
-    Term.(
-      const main $ full $ micro_only $ experiments_only $ quota_ms $ json_path $ seed $ domains)
+  Cmd.v (Cmd.info "bench" ~doc:"substrate micro-benchmarks") Term.(const main $ quota_ms $ json_path)
 
 let () = exit (Cmdliner.Cmd.eval' cmd)

@@ -99,8 +99,6 @@ let random_noise_point ~corrupt_prob =
     g_target = Tg_live_shuffle;
     g_tactic = Chaos { drop_prob = 0.3 } }
 
-let async_fifo_point = base
-
 let async_uniform_point = { base with g_async = Ab_uniform }
 
 let async_delayer_point ~victims = { base with g_async = Ab_avoid victims }

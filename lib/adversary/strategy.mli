@@ -152,8 +152,6 @@ val lone_finisher_point : target:int -> genome
 
 val random_noise_point : corrupt_prob:float -> genome
 
-val async_fifo_point : genome
-
 val async_uniform_point : genome
 
 val async_delayer_point : victims:int list -> genome

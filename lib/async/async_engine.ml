@@ -416,8 +416,6 @@ let to_run o =
     corruptions_used = o.corruptions_used;
     metrics = o.metrics }
 
-let honest_outputs o = Ba_sim.Run.honest_outputs (to_run o)
-
 let agreement_holds o = Ba_sim.Run.agreement_holds (to_run o)
 
 let validity_holds o = Ba_sim.Run.validity_holds (to_run o)

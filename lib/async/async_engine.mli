@@ -185,11 +185,8 @@ val run :
     [span = Run.Steps o.steps]. Arrays are shared, not copied. *)
 val to_run : outcome -> Ba_sim.Run.outcome
 
-(** [honest_outputs o] — decided values of honest nodes, [(node, value)]
-    in node order; equal to [Run.honest_outputs (to_run o)], as are the
-    two predicates below. *)
-val honest_outputs : outcome -> (int * int) list
-
+(** [agreement_holds o] and [validity_holds o] equal
+    [Run.agreement_holds (to_run o)] and [Run.validity_holds (to_run o)]. *)
 val agreement_holds : outcome -> bool
 
 val validity_holds : outcome -> bool

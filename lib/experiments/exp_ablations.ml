@@ -2,11 +2,9 @@ open Exp_common
 
 module Report = Ba_harness.Report
 
-(* ------------------------------------------------------------------ *)
-(* E11 — ablations (alpha, coin-round placement)                       *)
-(* ------------------------------------------------------------------ *)
-
-let e11_alpha ?(quick = false) ~seed () =
+(* E11a — alpha ablation: the committee-count constant vs rounds and vs the
+   failure rate of the fixed-phase (whp) variant. Reported as part of E11. *)
+let e11_alpha ~quick ~seed =
   let n = if quick then 64 else 128 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 12 else 40 in
@@ -75,7 +73,9 @@ let e11_alpha ?(quick = false) ~seed () =
          rows)
     ()
 
-let e11_coin_round ?policy ?domains ?(quick = false) ~seed () =
+(* E11b — coin piggybacking vs a separate coin round. Reported as part of
+   E11. *)
+let e11_coin_round ~policy ~domains ~quick ~seed =
   let n = if quick then 40 else 64 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 8 else 20 in
@@ -88,8 +88,8 @@ let e11_coin_round ?policy ?domains ?(quick = false) ~seed () =
         in
         let inputs = Setups.inputs Setups.Split ~n ~t in
         let stats =
-          Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
-            ?policy ~fail_fast:false ~trials
+          Ba_harness.Experiment.monte_carlo ~domains ?rounds_per_phase:run.rounds_per_phase
+            ~policy ~fail_fast:false ~trials
             ~seed:(seed_for ~seed ("e11b", run.run_protocol))
             ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
             ()
@@ -143,11 +143,12 @@ let e11_coin_round ?policy ?domains ?(quick = false) ~seed () =
          rows)
     ()
 
-let e11 ?policy ?domains ?(quick = false) ~seed () =
-  (* Both design-choice ablations as one registered experiment (DESIGN.md §5
-     row E11); the per-ablation runners stay available via the facade. *)
-  let a = e11_alpha ~quick ~seed () in
-  let b = e11_coin_round ?policy ?domains ~quick ~seed () in
+(* E11 — both design-choice ablations as one registered experiment
+   (DESIGN.md §5 row E11): metrics prefixed [alpha_]/[coin_], verdict the
+   worst of the two. *)
+let e11 ~policy ~domains ~quick ~seed =
+  let a = e11_alpha ~quick ~seed in
+  let b = e11_coin_round ~policy ~domains ~quick ~seed in
   let prefix p metrics = List.map (fun (k, v) -> (p ^ "_" ^ k, v)) metrics in
   Report.make ~id:"E11"
     ~title:"Ablations: committee-count constant alpha; coin piggyback vs extra round"
@@ -159,21 +160,19 @@ let e11 ?policy ?domains ?(quick = false) ~seed () =
     ~body:(a.body ^ "\n" ^ b.body)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E14 — crash faults vs Byzantine faults                              *)
-(* ------------------------------------------------------------------ *)
-
-let e14 ?policy ?domains ?(quick = false) ~seed () =
-  (* The BJB lower bound already holds for adaptive crash faults; measure
-     how much weaker the crash-only killer is in practice (deletions cost
-     ~|X|+1 per coin vs the Byzantine ~|X|/2+1). *)
+(* E14 — fault-model ladder: the crash-only (Bar-Joseph–Ben-Or model)
+   committee killer vs the full Byzantine one. The BJB lower bound already
+   holds for adaptive crash faults; measure how much weaker the crash-only
+   killer is in practice (deletions cost ~|X|+1 per coin vs the Byzantine
+   ~|X|/2+1). *)
+let e14 ~policy ~domains ~quick ~seed =
   let n = if quick then 64 else 128 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 8 else 20 in
   let inputs = Setups.inputs Setups.Split ~n ~t in
   let measure adversary =
     let run = Setups.make ~protocol:(Setups.Las_vegas { alpha = 2.0 }) ~adversary ~n ~t in
-    Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase ?policy
+    Ba_harness.Experiment.monte_carlo ~domains ?rounds_per_phase:run.rounds_per_phase ~policy
       ~trials
       ~seed:(seed_for ~seed ("e14", Setups.adversary_name adversary))
       ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
@@ -219,16 +218,13 @@ let e14 ?policy ?domains ?(quick = false) ~seed () =
          rows)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E15 — termination-realization ablation                              *)
-(* ------------------------------------------------------------------ *)
-
-let e15 ?(quick = false) ~seed () =
-  (* The paper's "broadcast once more" taken literally vs the extra-phase
-     realization, both under the lone-finisher attack with a full budget.
-     The literal reading strands the remaining honest nodes below every
-     threshold: the Las Vegas run never terminates (cap hit) and the
-     fixed-phase run risks disagreement at the cap. *)
+(* E15 — termination-realization ablation (DESIGN.md §4.2): the paper's
+   "broadcast once more" taken literally vs the extra-phase realization,
+   both under the lone-finisher attack with a full budget. The literal
+   reading strands the remaining honest nodes below every threshold: the
+   Las Vegas run never terminates (cap hit) and the fixed-phase run risks
+   disagreement at the cap; the extra-phase realization terminates. *)
+let e15 ~quick ~seed =
   let n = if quick then 40 else 64 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 10 else 25 in
@@ -308,14 +304,14 @@ let experiments =
       title = "ablations: alpha and coin-round placement";
       claim = "Ablations (design choices)";
       tags = [ Ba_harness.Registry.Ablation ];
-      run = (fun ~policy ~domains ~quick ~seed -> e11 ~policy ~domains ~quick ~seed ()); campaign = None };
+      run = e11; campaign = None };
     { Ba_harness.Registry.id = "E14";
       title = "crash vs byzantine fault models";
       claim = "Fault-model ladder (BJB model)";
       tags = [ Ba_harness.Registry.Ablation; Ba_harness.Registry.Robustness ];
-      run = (fun ~policy ~domains ~quick ~seed -> e14 ~policy ~domains ~quick ~seed ()); campaign = None };
+      run = e14; campaign = None };
     { Ba_harness.Registry.id = "E15";
       title = "termination-realization ablation";
       claim = "Termination realization (DESIGN.md 4.2)";
       tags = [ Ba_harness.Registry.Ablation; Ba_harness.Registry.Robustness ];
-      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e15 ~quick ~seed ()); campaign = None } ]
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e15 ~quick ~seed); campaign = None } ]

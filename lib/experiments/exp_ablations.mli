@@ -1,22 +1,4 @@
-(** E11/E14/E15 — ablations over design choices and fault models.
-
-    E11 merges the two design-choice ablations (committee-count constant
-    alpha; coin piggybacked vs extra round) into one registered experiment;
-    the per-ablation runners remain exported for the compatibility facade.
-    E14 is the crash-vs-Byzantine fault ladder, E15 the
-    termination-realization ablation behind DESIGN.md §4.2. *)
-
-val e11_alpha : ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
-
-val e11_coin_round : ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
-
-(** Combined E11 report: both ablations, metrics prefixed [alpha_]/[coin_],
-    verdict is the worst of the two. *)
-val e11 : ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
-
-val e14 : ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
-
-val e15 : ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
+(** E11/E14/E15 — ablations over design choices and fault models. *)
 
 (** Registry descriptors for E11, E14, E15. *)
 val experiments : Ba_harness.Registry.descriptor list

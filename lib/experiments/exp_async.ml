@@ -3,26 +3,22 @@ open Exp_common
 module Report = Ba_harness.Report
 module Checker = Ba_trace.Checker
 
-(* ------------------------------------------------------------------ *)
-(* E17 — the asynchronous contrast (Section 1.3)                       *)
-(* ------------------------------------------------------------------ *)
-
-let e17 ?policy ?domains ?(quick = false) ~seed () =
-  (* The paper's Section 1.3: under the same full-information adaptive
-     adversary, asynchrony is much harder — Ben-Or/Bracha are exponential,
-     the best known polynomial bound (Huang-Pettie-Zhu) is O(n^4). Measure
-     classic async Ben-Or (t < n/5, private coins) under an adversarial
-     random scheduler plus Byzantine splitter, against synchronous
-     Algorithm 3 at the same (n, t). Async trials run through the unified
-     substrate: {!Setups.make_async} produces {!Ba_sim.Run.outcome}s and
-     {!Ba_harness.Supervisor.run_trial} supervises them exactly like the
-     synchronous arm's Monte-Carlo loop. On the actor-runtime engine
-     (DESIGN.md §15) the splitter is an [Opaque] adversary — corrupting
-     and injecting — so these trials exercise the reference view/act loop
-     on the mailbox slab; payloads are byte-stable across the rebuild. *)
+(* E17 — the asynchronous contrast of the paper's Section 1.3: under the
+   same full-information adaptive adversary, asynchrony is much harder —
+   Ben-Or/Bracha are exponential, the best known polynomial bound
+   (Huang-Pettie-Zhu) is O(n^4). Measure classic async Ben-Or (t < n/5,
+   private coins) under an adversarial random scheduler plus Byzantine
+   splitter, against synchronous Algorithm 3 at the same (n, t), reporting per-size delivered-bit
+   complexity alongside deliveries. Async trials run through the unified
+   substrate: {!Setups.make_async} produces {!Ba_sim.Run.outcome}s and
+   {!Ba_harness.Supervisor.run_trial} supervises them exactly like the
+   synchronous arm's Monte-Carlo loop. On the actor-runtime engine
+   (DESIGN.md §15) the splitter is an [Opaque] adversary — corrupting and
+   injecting — so these trials exercise the reference view/act loop on the
+   mailbox slab; payloads are byte-stable across the rebuild. *)
+let e17 ~policy ~domains ~quick ~seed =
   let ns = if quick then [ 6; 11; 16 ] else [ 6; 11; 16; 21; 26 ] in
   let trials = if quick then 10 else 25 in
-  let pol = Option.value policy ~default:Ba_harness.Supervisor.default in
   let async_failures = ref [] in
   let data =
     List.map
@@ -40,13 +36,13 @@ let e17 ?policy ?domains ?(quick = false) ~seed () =
         (* Serial: the async arm accumulates into shared summaries. *)
         for trial = 0 to trials - 1 do
           match
-            Ba_harness.Supervisor.run_trial ~policy:pol
+            Ba_harness.Supervisor.run_trial ~policy
               ~seed:(seed_for ~seed ("e17", n))
               ~trial ~view:Fun.id
               ~run:(fun ~seed ~trial:_ -> arun.Setups.arun_exec ~inputs ~seed ())
           with
           | Error f ->
-              if not pol.keep_going then Ba_harness.Supervisor.raise_failure f;
+              if not policy.keep_going then Ba_harness.Supervisor.raise_failure f;
               async_failures := f :: !async_failures
           | Ok ro ->
               let delivered = Ba_sim.Metrics.messages ro.Ba_sim.Run.metrics in
@@ -67,7 +63,7 @@ let e17 ?policy ?domains ?(quick = false) ~seed () =
             in
             let inputs = Setups.inputs Setups.Split ~n ~t in
             let stats =
-              Ba_harness.Experiment.monte_carlo ?domains ?policy ~trials
+              Ba_harness.Experiment.monte_carlo ~domains ~policy ~trials
                 ~seed:(seed_for ~seed ("e17-sync", n))
                 ~run:(fun ~seed ~trial:_ -> run.exec ~record:false ~inputs ~seed ())
                 ()
@@ -80,7 +76,7 @@ let e17 ?policy ?domains ?(quick = false) ~seed () =
   in
   Option.iter
     (fun s -> Ba_harness.Supervisor.record s (List.rev !async_failures))
-    pol.failure_sink;
+    policy.failure_sink;
   let rows =
     List.map
       (fun (n, t, clean, eff_rounds, deliveries, bits, sync_rounds) ->
@@ -130,14 +126,10 @@ let e17 ?policy ?domains ?(quick = false) ~seed () =
          rows)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E20 — async agreement under benign link faults                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The asynchronous mirror of E18: link drops/duplications/corruptions are
-   injected into scheduler-visible delivery and the safety properties
-   (agreement, validity) are audited on every trial through the substrate
-   checkers. Termination is NOT demanded under faults — an async protocol
+(* E20 — async robustness, the asynchronous mirror of E18: Ben-Or and
+   Bracha RBC under link drops/duplications/corruptions injected into
+   scheduler-visible delivery, with the safety properties (agreement,
+   validity) audited on every trial through the substrate checkers. Termination is NOT demanded under faults — an async protocol
    starved of messages may legitimately never decide, which shows up as
    [incomplete] (deadlock or step-cap) and is reported as degradation. The
    fault-free control arm, however, must be perfect: the model assumes
@@ -145,7 +137,7 @@ let e17 ?policy ?domains ?(quick = false) ~seed () =
    ({!Ba_harness.Experiment.monte_carlo_view}); within a trial the random
    scheduler runs the engine's pure-scheduler loop, one rank draw per
    step (DESIGN.md §15). *)
-let e20 ?policy ?(quick = false) ~seed ~domains () =
+let e20 ~policy ~domains ~quick ~seed =
   let trials = if quick then 6 else 15 in
   let arms =
     [ ("control", None);
@@ -175,7 +167,7 @@ let e20 ?policy ?(quick = false) ~seed ~domains () =
               Setups.make_async ?faults ~protocol ~scheduler:Setups.Random_sched ~n ~t ()
             in
             let stats =
-              Ba_harness.Experiment.monte_carlo_view ~domains ~fail_fast:false ?policy
+              Ba_harness.Experiment.monte_carlo_view ~domains ~fail_fast:false ~policy
                 ~check:(fun ro -> Checker.agreement_run ro @ Checker.validity_run ro)
                 ~view:Fun.id ~trials
                 ~seed:(seed_for ~seed ("e20", pname, label))
@@ -274,9 +266,9 @@ let experiments =
       title = "asynchronous contrast (Ben-Or vs Algorithm 3)";
       claim = "Async contrast (Sec. 1.3)";
       tags = [ Ba_harness.Registry.Async ];
-      run = (fun ~policy ~domains ~quick ~seed -> e17 ~policy ~domains ~quick ~seed ()); campaign = None };
+      run = e17; campaign = None };
     { Ba_harness.Registry.id = "E20";
       title = "async agreement under benign link faults";
       claim = "Robustness: async plane under link faults";
       tags = [ Ba_harness.Registry.Robustness; Ba_harness.Registry.Async ];
-      run = (fun ~policy ~domains ~quick ~seed -> e20 ~policy ~domains ~quick ~seed ()); campaign = None } ]
+      run = e20; campaign = None } ]

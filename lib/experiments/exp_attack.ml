@@ -185,8 +185,15 @@ let cell_row c =
     Printf.sprintf "%+.4f" (c.cl_holdout_searched -. c.cl_holdout_catalog);
     string_of_int c.cl_result.Search.r_evals ]
 
-let e23 ?(quick = false) ?policy ?(domains = 1) ~seed () =
-  let cs = List.map (run_cell ?policy ~domains ~quick ~seed) (cells ~quick) in
+(* E23 — per (n,t) cell, greedy + beam + capped-annealing search maximizes
+   either the coin bias or the rounds-to-decide, then compares the winner
+   against every cataloged strategy scored by the same objective —
+   including a held-out re-scoring, so the reported robustness margin is
+   not an artifact of the search stream's draws. Verdict is [Pass] iff at
+   least one cell's searched strategy strictly beats the best catalog
+   point. *)
+let e23 ~policy ~domains ~quick ~seed =
+  let cs = List.map (run_cell ~policy ~domains ~quick ~seed) (cells ~quick) in
   let improved = List.filter (fun c -> c.cl_margin > 0.0) cs in
   let best_cell =
     List.fold_left (fun b c -> if c.cl_margin > b.cl_margin then c else b) (List.hd cs) cs
@@ -319,5 +326,5 @@ let experiments =
       title = "Attack search: strategy IR vs fixed catalog";
       claim = "adaptive adversary strength";
       tags = [ Ba_harness.Registry.Robustness ];
-      run = (fun ~policy ~domains ~quick ~seed -> e23 ~quick ~policy ~domains ~seed ());
+      run = e23;
       campaign = Some e23_campaign } ]

@@ -1,23 +1,6 @@
 (** E23 — deterministic attack search over the strategy IR
-    ({!Ba_adversary.Search}) vs the fixed adversary catalog.
-
-    Per (n,t) cell, greedy + beam + capped-annealing search maximizes
-    either the common coin's bias (Algorithm 1, coin lowering) or the Las
-    Vegas protocol's rounds-to-decide (skeleton lowering), then compares
-    the winner against every cataloged strategy scored by the same
-    objective — including a held-out re-scoring, so the reported
-    robustness margin is not an artifact of the search stream's draws.
-    Verdict is [Pass] iff at least one cell's searched strategy strictly
-    beats the best catalog point. Deterministic in [seed] at any
-    [domains] value. *)
-
-val e23 :
-  ?quick:bool ->
-  ?policy:Ba_harness.Supervisor.policy ->
-  ?domains:int ->
-  seed:int64 ->
-  unit ->
-  Ba_harness.Report.t
+    ({!Ba_adversary.Search}) vs the fixed adversary catalog, and the two
+    search objectives it scores genomes by. *)
 
 (** The coin-bias objective on one cell (exposed for [ba_attack] and the
     tests): fraction of [trials] in which every honest node outputs 1

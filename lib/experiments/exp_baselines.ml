@@ -2,11 +2,10 @@ open Exp_common
 
 module Report = Ba_harness.Report
 
-(* ------------------------------------------------------------------ *)
-(* E6 — validity & agreement matrix                                    *)
-(* ------------------------------------------------------------------ *)
-
-let e6 ?(quick = false) ~seed () =
+(* E6 — validity and agreement invariants across every protocol x
+   adversary x input pattern (both unanimous inputs, split and
+   near-threshold). *)
+let e6 ~quick ~seed =
   let trials = if quick then 4 else 10 in
   let combos =
     let skel p = (p, [ Setups.Silent; Setups.Static_crash; Setups.Staggered_crash 2;
@@ -81,11 +80,9 @@ let e6 ?(quick = false) ~seed () =
          rows)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E7 — agreement aggregate                                            *)
-(* ------------------------------------------------------------------ *)
-
-let e7 ?policy ?domains ?(quick = false) ~seed () =
+(* E7 — agreement aggregated across protocol x adversary pairs with
+   fail-fast off: failures are counted, never silently aborted on. *)
+let e7 ~policy ~domains ~quick ~seed =
   (* The "agreement always holds" claim as its own aggregate: Monte-Carlo
      sweeps with fail_fast off, counting agreement/validity failures across
      protocol x adversary pairs instead of aborting on the first one. *)
@@ -104,8 +101,8 @@ let e7 ?policy ?domains ?(quick = false) ~seed () =
         let run = Setups.make ~protocol:proto ~adversary:adv ~n ~t in
         let inputs = Setups.inputs Setups.Split ~n ~t in
         let stats =
-          Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
-            ?policy ~fail_fast:false ~trials
+          Ba_harness.Experiment.monte_carlo ~domains ?rounds_per_phase:run.rounds_per_phase
+            ~policy ~fail_fast:false ~trials
             ~seed:(seed_for ~seed ("e7", run.run_protocol, run.run_adversary))
             ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
             ()
@@ -226,11 +223,9 @@ let e7_campaign =
     c_run = e7_c_run;
     c_report = e7_c_report }
 
-(* ------------------------------------------------------------------ *)
-(* E10 — baseline ladder                                               *)
-(* ------------------------------------------------------------------ *)
-
-let e10 ?policy ?domains ?(quick = false) ~seed () =
+(* E10 — the baseline ladder: deterministic (phase-king, EIG) vs Chor–Coan
+   vs Algorithm 3 vs the Bar-Joseph–Ben-Or lower-bound curve. *)
+let e10 ~policy ~domains ~quick ~seed =
   let trials = if quick then 5 else 12 in
   let entries =
     [ (Setups.Eig, 7, 2, Setups.Static_crash, "deterministic, n>3t, t+1 rounds, exp. messages");
@@ -247,8 +242,8 @@ let e10 ?policy ?domains ?(quick = false) ~seed () =
         let run = Setups.make ~protocol:proto ~adversary:adv ~n ~t in
         let inputs = Setups.inputs Setups.Split ~n ~t in
         let stats =
-          Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
-            ?policy ~trials
+          Ba_harness.Experiment.monte_carlo ~domains ?rounds_per_phase:run.rounds_per_phase
+            ~policy ~trials
             ~seed:(seed_for ~seed ("e10", run.run_protocol))
             ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
             ()
@@ -299,9 +294,8 @@ let e10 ?policy ?domains ?(quick = false) ~seed () =
          rows)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E12 — sampling-majority contrast baseline                           *)
-(* ------------------------------------------------------------------ *)
+(* E12 — contrast baseline: the sampling-majority dynamics from the
+   paper's related work; convergence degrades past the [sqrt n] threshold. *)
 
 let sampling_splitter ~rng =
   (* Corrupt the budget up front; corrupted nodes feed value [dst mod 2]
@@ -319,7 +313,7 @@ let sampling_splitter ~rng =
         { Ba_sim.Adversary.corrupt;
           byz_msg = (fun ~src:_ ~dst -> Some (Ba_baselines.Sampling_majority.Value (dst mod 2))) }) }
 
-let e12 ?(quick = false) ~seed () =
+let e12 ~quick ~seed =
   let n = if quick then 256 else 1024 in
   let trials = if quick then 10 else 25 in
   let sqrt_n = isqrt n in
@@ -393,14 +387,11 @@ let e12 ?(quick = false) ~seed () =
          rows)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E16 — elected vs predetermined committees                           *)
-(* ------------------------------------------------------------------ *)
-
-let e16 ?(quick = false) ~seed () =
-  (* The introduction's static-vs-adaptive contrast, made concrete: Feige
-     lightest-bin election keeps an honest committee majority whp against a
-     static adversary and collapses against the adaptive rushing one. *)
+(* E16 — why committees are predetermined by ID, the introduction's
+   static-vs-adaptive contrast made concrete: Feige's lightest-bin election
+   keeps an honest committee majority whp against a static adversary and
+   collapses against the adaptive rushing one. *)
+let e16 ~quick ~seed =
   let trials = if quick then 2000 else 10000 in
   let ns = if quick then [ 256; 1024 ] else [ 256; 1024; 4096; 16384 ] in
   let data =
@@ -465,25 +456,25 @@ let experiments =
       title = "validity/agreement matrix";
       claim = "Validity (all protocols x adversaries)";
       tags = [ Ba_harness.Registry.Robustness ];
-      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e6 ~quick ~seed ()); campaign = None };
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e6 ~quick ~seed); campaign = None };
     { Ba_harness.Registry.id = "E7";
       title = "agreement aggregate (fail-fast off)";
       claim = "Agreement (whp)";
       tags = [ Ba_harness.Registry.Robustness ];
-      run = (fun ~policy ~domains ~quick ~seed -> e7 ~policy ~domains ~quick ~seed ());
+      run = e7;
       campaign = Some e7_campaign };
     { Ba_harness.Registry.id = "E10";
       title = "baseline ladder";
       claim = "Baseline positioning";
       tags = [ Ba_harness.Registry.Baseline ];
-      run = (fun ~policy ~domains ~quick ~seed -> e10 ~policy ~domains ~quick ~seed ()); campaign = None };
+      run = e10; campaign = None };
     { Ba_harness.Registry.id = "E12";
       title = "sampling-majority contrast baseline";
       claim = "Related work (Sec. 1.3): sampling dynamics";
       tags = [ Ba_harness.Registry.Baseline ];
-      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e12 ~quick ~seed ()); campaign = None };
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e12 ~quick ~seed); campaign = None };
     { Ba_harness.Registry.id = "E16";
       title = "elected vs predetermined committees";
       claim = "Static vs adaptive (introduction)";
       tags = [ Ba_harness.Registry.Coin; Ba_harness.Registry.Baseline ];
-      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e16 ~quick ~seed ()); campaign = None } ]
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e16 ~quick ~seed); campaign = None } ]

@@ -1,12 +1,4 @@
-(** E1/E2 — the common-coin guarantees (Theorem 3, Corollary 1).
-
-    Closed-form Monte-Carlo across sizes plus an engine cross-check against
-    the rushing splitter adversary. Verdict is [Pass] iff every size's 95%
-    CI sits entirely above the Paley–Zygmund bound, [Fail] otherwise. *)
-
-val e1 : ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
-
-val e2 : ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
+(** E1/E2 — the common-coin guarantees (Theorem 3, Corollary 1). *)
 
 (** Registry descriptors for E1 and E2. *)
 val experiments : Ba_harness.Registry.descriptor list

@@ -2,11 +2,7 @@ open Exp_common
 
 module Report = Ba_harness.Report
 
-(* ------------------------------------------------------------------ *)
-(* E4 — crossover vs Chor–Coan                                         *)
-(* ------------------------------------------------------------------ *)
-
-let e4_data ?(quick = false) ~seed () =
+let e4_data ~quick ~seed =
   let n = 65536 in
   let ts =
     if quick then [ 256; 512; 1024; 2048; 8192 ]
@@ -26,9 +22,12 @@ let e4_data ?(quick = false) ~seed () =
       (t, ours, cc))
     ts
 
-let e4 ?quick ~seed () =
+(* E4 — Algorithm 3 vs Chor–Coan across [t]: who wins where, and the
+   crossover near [t ≈ n/log²n] (phase model at n = 65536, with the ASCII
+   figure). *)
+let e4 ~quick ~seed =
   let n = 65536 in
-  let data = e4_data ?quick ~seed () in
+  let data = e4_data ~quick ~seed in
   let rows =
     List.map
       (fun (t, ours, cc) ->
@@ -99,11 +98,9 @@ let e4 ?quick ~seed () =
       ^ "\n" ^ fig)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E8 — message complexity                                             *)
-(* ------------------------------------------------------------------ *)
-
-let e8 ?policy ?domains ?(quick = false) ~seed () =
+(* E8 — message/bit complexity of Algorithm 3 vs Chor–Coan across [t],
+   engine-metered at moderate [n]. *)
+let e8 ~policy ~domains ~quick ~seed =
   (* Engine-metered messages and bits at moderate n; the paper's claim is
      O(min{n t^2 log n, n^2 t / log n}) vs Chor-Coan's O(n^2 t / log n). *)
   let n = if quick then 64 else 128 in
@@ -120,8 +117,8 @@ let e8 ?policy ?domains ?(quick = false) ~seed () =
           (fun proto ->
             let run = Setups.make ~protocol:proto ~adversary:Setups.Committee_killer ~n ~t in
             let stats =
-              Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
-                ?policy ~trials
+              Ba_harness.Experiment.monte_carlo ~domains ?rounds_per_phase:run.rounds_per_phase
+                ~policy ~trials
                 ~seed:(seed_for ~seed ("e8", Setups.protocol_name proto, t))
                 ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
                 ()
@@ -187,9 +184,9 @@ let experiments =
       title = "crossover vs Chor-Coan";
       claim = "Theorem 2 vs Chor-Coan";
       tags = [ Ba_harness.Registry.Scaling; Ba_harness.Registry.Complexity ];
-      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e4 ~quick ~seed ()); campaign = None };
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e4 ~quick ~seed); campaign = None };
     { Ba_harness.Registry.id = "E8";
       title = "message complexity";
       claim = "Message complexity";
       tags = [ Ba_harness.Registry.Complexity ];
-      run = (fun ~policy ~domains ~quick ~seed -> e8 ~policy ~domains ~quick ~seed ()); campaign = None } ]
+      run = e8; campaign = None } ]

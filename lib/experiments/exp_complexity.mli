@@ -1,12 +1,4 @@
-(** E4/E8 — complexity comparisons against Chor–Coan.
-
-    E4: who wins where across [t] and the crossover near [t ≈ n/log²n]
-    (phase model at n = 65536, with the ASCII figure). E8: engine-metered
-    message/bit complexity at moderate [n]. *)
-
-val e4 : ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
-
-val e8 : ?policy:Ba_harness.Supervisor.policy -> ?domains:int -> ?quick:bool -> seed:int64 -> unit -> Ba_harness.Report.t
+(** E4/E8 — complexity comparisons against Chor–Coan. *)
 
 (** Registry descriptors for E4 and E8. *)
 val experiments : Ba_harness.Registry.descriptor list

@@ -3,10 +3,6 @@ open Exp_common
 module Report = Ba_harness.Report
 module Checker = Ba_trace.Checker
 
-(* ------------------------------------------------------------------ *)
-(* E18 — agreement under benign link faults counted against t          *)
-(* ------------------------------------------------------------------ *)
-
 (* The fault budget split: a link dropping (or corrupting) a sender's
    messages makes that sender behave like a partially crashed node, so the
    expected number of fault-touched senders per round is charged against
@@ -16,7 +12,13 @@ let e18_budget ~n ~t spec =
   let p = spec.Setups.fs_drop +. spec.Setups.fs_corrupt in
   max 0 (t - int_of_float (ceil (p *. float_of_int n)))
 
-let e18 ?policy ?(quick = false) ~seed () =
+(* E18 — Algorithm 3 (Las Vegas form) vs Chor–Coan under rising link-fault
+   rates (drop/duplicate/corrupt), the faults counted against the [t]
+   budget. The synchronous model assumes reliable links, so the fault-free
+   control arm must stay perfect ([Fail] otherwise); the faulted arms
+   quantify agreement/termination breakdown outside the model ([Shape_ok],
+   upgrading to [Pass] on a clean sweep). *)
+let e18 ~policy ~quick ~seed =
   let n = if quick then 40 else 64 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 5 else 12 in
@@ -42,9 +44,11 @@ let e18 ?policy ?(quick = false) ~seed () =
             (* Serial: the run closure adds to [faults_seen], shared across trials. *)
             let faults_seen = Ba_stats.Summary.create () in
             let stats =
-              Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy
+              Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ~policy
                 ~fail_fast:false
-                ~check:(fun o -> Checker.agreement o @ Checker.validity o)
+                ~check:(fun o ->
+                  let ro = Ba_sim.Engine.to_run o in
+                  Checker.agreement_run ro @ Checker.validity_run ro)
                 ~trials
                 ~seed:(seed_for ~seed ("e18", run.run_protocol, label))
                 ~run:(fun ~seed ~trial:_ ->
@@ -134,10 +138,6 @@ let e18 ?policy ?(quick = false) ~seed () =
          rows)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E19 — crash-recovery gauntlet (Lemma 4 termination window)          *)
-(* ------------------------------------------------------------------ *)
-
 (* Rotating send-omission waves: the fault-plan placement is a strategy-IR
    silence shape (DESIGN.md §16) lowered by Strategy.to_silences — wave j
    silences g consecutive nodes for rounds [1 + j*w, 1 + (j+1)*w), the
@@ -149,7 +149,10 @@ let e19_waves ~t ~wave_len ~waves =
     Ba_adversary.Strategy.to_silences
       { Ba_adversary.Strategy.sw_group = g; sw_len = wave_len; sw_waves = waves; sw_start = 1 } )
 
-let e19 ?policy ?(quick = false) ~seed () =
+(* E19 — crash-recovery gauntlet: rotating send-omission waves (silent for
+   rounds [a, b), then resumed) with the full {!Checker.standard} battery —
+   including the Lemma 4 termination-gap window — enforced. *)
+let e19 ~policy ~quick ~seed =
   let n = if quick then 40 else 64 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 6 else 15 in
@@ -171,7 +174,7 @@ let e19 ?policy ?(quick = false) ~seed () =
         (* Serial: the run closure adds to [silenced], shared across trials. *)
         let silenced = Ba_stats.Summary.create () in
         let stats =
-          Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy
+          Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ~policy
             ~fail_fast:false
             ~check:(fun o ->
               Checker.standard ?rounds_per_phase:run.rounds_per_phase ~allow_faults:true o)
@@ -267,7 +270,9 @@ let e18_c_run ~policy ~domains ~quick ~seed ~lo ~hi =
   let inputs = Setups.inputs Setups.Split ~n ~t in
   Ba_harness.Experiment.monte_carlo ~domains ?rounds_per_phase:run.rounds_per_phase ~policy
     ~fail_fast:false
-    ~check:(fun o -> Checker.agreement o @ Checker.validity o)
+    ~check:(fun o ->
+      let ro = Ba_sim.Engine.to_run o in
+      Checker.agreement_run ro @ Checker.validity_run ro)
     ~range:(lo, hi) ~trials:(e18_c_trials ~quick) ~seed
     ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
     ()
@@ -318,10 +323,10 @@ let experiments =
       title = "link faults counted against t";
       claim = "Robustness: link faults within the t budget";
       tags = [ Ba_harness.Registry.Robustness ];
-      run = (fun ~policy ~domains:_ ~quick ~seed -> e18 ~policy ~quick ~seed ());
+      run = (fun ~policy ~domains:_ ~quick ~seed -> e18 ~policy ~quick ~seed);
       campaign = Some e18_campaign };
     { Ba_harness.Registry.id = "E19";
       title = "crash-recovery gauntlet (Lemma 4 window)";
       claim = "Robustness: crash-recovery (Lemma 4 window)";
       tags = [ Ba_harness.Registry.Robustness ];
-      run = (fun ~policy ~domains:_ ~quick ~seed -> e19 ~policy ~quick ~seed ()); campaign = None } ]
+      run = (fun ~policy ~domains:_ ~quick ~seed -> e19 ~policy ~quick ~seed); campaign = None } ]

@@ -5,14 +5,14 @@ module Report = Ba_harness.Report
 (* Shared workhorses: rounds of Algorithm 3 (Las Vegas) under the
    committee-killer, via the full engine and via the phase model. *)
 
-let engine_killer_rounds ?policy ?domains ~n ~t ~trials ~seed () =
+let engine_killer_rounds ~policy ~domains ~n ~t ~trials ~seed =
   let run =
     Setups.make ~protocol:(Setups.Las_vegas { alpha = 2.0 }) ~adversary:Setups.Committee_killer
       ~n ~t
   in
   let inputs = Setups.inputs Setups.Split ~n ~t in
   let stats =
-    Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase ?policy
+    Ba_harness.Experiment.monte_carlo ~domains ?rounds_per_phase:run.rounds_per_phase ~policy
       ~trials ~seed
       ~run:(fun ~seed ~trial:_ -> run.exec ~record:true ~inputs ~seed ())
       ()
@@ -27,11 +27,11 @@ let model_killer_rounds ~n ~t ~budget ~trials ~seed =
   done;
   s
 
-(* ------------------------------------------------------------------ *)
-(* E3 — round-complexity shape                                         *)
-(* ------------------------------------------------------------------ *)
-
-let e3 ?policy ?domains ?(quick = false) ~seed () =
+(* E3 — Theorem 2's shape: measured rounds of Algorithm 3 (Las Vegas form)
+   vs [t] under the committee-killer, quadratic in [t] below the crossover,
+   with the log–log fitted exponent in the [t >= sqrt n] regime compared to
+   the predicted quadratic. *)
+let e3 ~policy ~domains ~quick ~seed =
   (* Small n: engine vs model validation. Large n: model only, where the
      t^2 log n / n regime lives. *)
   let small_n = if quick then 128 else 256 in
@@ -45,9 +45,8 @@ let e3 ?policy ?domains ?(quick = false) ~seed () =
     List.map
       (fun t ->
         let e =
-          engine_killer_rounds ?policy ?domains ~n:small_n ~t ~trials:engine_trials
+          engine_killer_rounds ~policy ~domains ~n:small_n ~t ~trials:engine_trials
             ~seed:(seed_for ~seed ("e3-engine", t))
-            ()
         in
         let m =
           model_killer_rounds ~n:small_n ~t ~budget:t ~trials:model_trials
@@ -170,11 +169,10 @@ let e3 ?policy ?domains ?(quick = false) ~seed () =
       ^ "\n" ^ fig)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E5 — early termination                                              *)
-(* ------------------------------------------------------------------ *)
-
-let e5 ?policy ?domains ?(quick = false) ~seed () =
+(* E5 — early termination: the protocol is provisioned for [t], the
+   adversary capped at [q < t]; rounds must track the actual corruptions
+   [q], not the budget [t]. *)
+let e5 ~policy ~domains ~quick ~seed =
   let n = if quick then 128 else 256 in
   let t = Ba_core.Params.max_tolerated n in
   let qs =
@@ -206,8 +204,8 @@ let e5 ?policy ?domains ?(quick = false) ~seed () =
             ~protocol:inst.protocol ~adversary:adv ~n ~t ~inputs ~seed ()
         in
         let stats =
-          Ba_harness.Experiment.monte_carlo ?domains ?rounds_per_phase:run.rounds_per_phase
-            ?policy ~trials:engine_trials
+          Ba_harness.Experiment.monte_carlo ~domains ?rounds_per_phase:run.rounds_per_phase
+            ~policy ~trials:engine_trials
             ~seed:(seed_for ~seed ("e5", q))
             ~run:capped_exec ()
         in
@@ -259,11 +257,9 @@ let e5 ?policy ?domains ?(quick = false) ~seed () =
          rows)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E9 — Las Vegas distribution                                         *)
-(* ------------------------------------------------------------------ *)
-
-let e9 ?policy ?(quick = false) ~seed () =
+(* E9 — the Las Vegas variant's round distribution under the
+   committee-killer; it always terminates. *)
+let e9 ~policy ~quick ~seed =
   let n = if quick then 64 else 128 in
   let t = Ba_core.Params.max_tolerated n in
   let trials = if quick then 60 else 200 in
@@ -275,7 +271,7 @@ let e9 ?policy ?(quick = false) ~seed () =
   (* Serial: the run closure appends to [rounds], shared across trials. *)
   let rounds = ref [] in
   let stats =
-    Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ?policy ~trials
+    Ba_harness.Experiment.monte_carlo ?rounds_per_phase:run.rounds_per_phase ~policy ~trials
       ~seed:(seed_for ~seed "e9")
       ~run:(fun ~seed ~trial:_ ->
         let o = run.exec ~record:true ~inputs ~seed () in
@@ -312,11 +308,9 @@ let e9 ?policy ?(quick = false) ~seed () =
          (fun fmt h -> Ba_stats.Histogram.pp fmt h) hist)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E13 — near-optimality at t = sqrt n                                 *)
-(* ------------------------------------------------------------------ *)
-
-let e13 ?(quick = false) ~seed () =
+(* E13 — near-optimality: measured rounds vs the Bar-Joseph–Ben-Or lower
+   bound at [t = sqrt n] across three orders of magnitude in [n]. *)
+let e13 ~quick ~seed =
   (* Paper: at t ~ sqrt n the protocol is within logarithmic factors of the
      Bar-Joseph--Ben-Or lower bound. Measure rounds at t = sqrt n across n
      and report the measured/bound ratio against polylog growth. *)
@@ -396,19 +390,19 @@ let experiments =
       title = "Theorem 2: rounds vs t shape";
       claim = "Theorem 2 (shape)";
       tags = [ Ba_harness.Registry.Scaling ];
-      run = (fun ~policy ~domains ~quick ~seed -> e3 ~policy ~domains ~quick ~seed ()); campaign = None };
+      run = e3; campaign = None };
     { Ba_harness.Registry.id = "E5";
       title = "early termination with q < t";
       claim = "Early termination (Theorem 2)";
       tags = [ Ba_harness.Registry.Scaling ];
-      run = (fun ~policy ~domains ~quick ~seed -> e5 ~policy ~domains ~quick ~seed ()); campaign = None };
+      run = e5; campaign = None };
     { Ba_harness.Registry.id = "E9";
       title = "Las Vegas round distribution";
       claim = "Las Vegas variant (Theorem 2)";
       tags = [ Ba_harness.Registry.Scaling ];
-      run = (fun ~policy ~domains:_ ~quick ~seed -> e9 ~policy ~quick ~seed ()); campaign = None };
+      run = (fun ~policy ~domains:_ ~quick ~seed -> e9 ~policy ~quick ~seed); campaign = None };
     { Ba_harness.Registry.id = "E13";
       title = "near-optimality vs BJB lower bound";
       claim = "Near-optimality vs Bar-Joseph-Ben-Or";
       tags = [ Ba_harness.Registry.Scaling ];
-      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e13 ~quick ~seed ()); campaign = None } ]
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e13 ~quick ~seed); campaign = None } ]

@@ -2,10 +2,6 @@ open Exp_common
 
 module Report = Ba_harness.Report
 
-(* ------------------------------------------------------------------ *)
-(* E21 — communication regimes: dense vs sampled vs word-budget        *)
-(* ------------------------------------------------------------------ *)
-
 (* One protocol arm of E21: run [trials] seeds and summarize the engine's
    meters. Agreement is tracked as a rate because the sampled arms are
    Monte-Carlo (whp, not deterministic). *)
@@ -33,7 +29,11 @@ let e21_arm ~proto ~n ~t ~trials ~seed =
   done;
   (run.Setups.run_protocol, rounds, bits, words, messages, !agreed, !completed)
 
-let e21 ?(quick = false) ~seed () =
+(* E21 — the sparse message plane's communication regimes: identical
+   sampled-majority dynamics under dense broadcast, sqrt(n)-sampling and the
+   heartbeat word budget on the sampled plane; engine-metered bits, words
+   and rounds-to-decide compared. *)
+let e21 ~quick ~seed =
   let n = if quick then 256 else 512 in
   let t = 0 in
   let trials = if quick then 8 else 20 in
@@ -100,11 +100,10 @@ let e21 ?(quick = false) ~seed () =
          rows)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* E22 — sampled-plane scaling: bits vs n at degree sqrt(n)            *)
-(* ------------------------------------------------------------------ *)
-
-let e22 ?(quick = false) ~seed () =
+(* E22 — sampled-plane scaling: total bits vs n for ks-sample at degree
+   ceil(sqrt n); the fitted log–log exponent should land near 1.5,
+   decisively below the dense plane's 2. *)
+let e22 ~quick ~seed =
   let sizes = if quick then [ 1024; 4096; 16384 ] else [ 1024; 4096; 16384; 65536 ] in
   let trials = if quick then 3 else 5 in
   let data =
@@ -204,9 +203,9 @@ let experiments =
       title = "communication regimes (dense / sampled / word-budget)";
       claim = "Sublinear communication (sampled plane)";
       tags = [ Ba_harness.Registry.Complexity ];
-      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e21 ~quick ~seed ()); campaign = None };
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e21 ~quick ~seed); campaign = None };
     { Ba_harness.Registry.id = "E22";
       title = "sampled-plane scaling";
       claim = "Sublinear communication (scaling)";
       tags = [ Ba_harness.Registry.Scaling; Ba_harness.Registry.Complexity ];
-      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e22 ~quick ~seed ()); campaign = None } ]
+      run = (fun ~policy:_ ~domains:_ ~quick ~seed -> e22 ~quick ~seed); campaign = None } ]

@@ -1,38 +1,5 @@
-(* Compatibility facade over the per-claim experiment modules.
-
-   The experiments themselves live in Exp_coin / Exp_scaling /
-   Exp_complexity / Exp_baselines / Exp_ablations / Exp_async; this module
-   re-exports the legacy function names and assembles the single registry
-   that bin/ba_sweep and bench/main drive. *)
-
-type report = Ba_harness.Report.t
-
-let pp_report = Ba_harness.Report.pp
-
-let e1_coin_theorem3 ?quick ~seed () = Exp_coin.e1 ?quick ~seed ()
-let e2_coin_corollary1 ?quick ~seed () = Exp_coin.e2 ?quick ~seed ()
-let e3_rounds_vs_t ?quick ~seed () = Exp_scaling.e3 ?quick ~seed ()
-let e4_crossover ?quick ~seed () = Exp_complexity.e4 ?quick ~seed ()
-let e5_early_termination ?quick ~seed () = Exp_scaling.e5 ?quick ~seed ()
-let e6_validity_matrix ?quick ~seed () = Exp_baselines.e6 ?quick ~seed ()
-let e7_agreement_aggregate ?quick ~seed () = Exp_baselines.e7 ?quick ~seed ()
-let e8_message_complexity ?quick ~seed () = Exp_complexity.e8 ?quick ~seed ()
-let e9_las_vegas ?quick ~seed () = Exp_scaling.e9 ?quick ~seed ()
-let e10_baseline_ladder ?quick ~seed () = Exp_baselines.e10 ?quick ~seed ()
-let e11_ablation_alpha ?quick ~seed () = Exp_ablations.e11_alpha ?quick ~seed ()
-let e11_ablation_coin_round ?quick ~seed () = Exp_ablations.e11_coin_round ?quick ~seed ()
-let e12_sampling_majority ?quick ~seed () = Exp_baselines.e12 ?quick ~seed ()
-let e13_bjb_gap ?quick ~seed () = Exp_scaling.e13 ?quick ~seed ()
-let e14_crash_vs_byzantine ?quick ~seed () = Exp_ablations.e14 ?quick ~seed ()
-let e15_termination_ablation ?quick ~seed () = Exp_ablations.e15 ?quick ~seed ()
-let e16_election_vs_adaptive ?quick ~seed () = Exp_baselines.e16 ?quick ~seed ()
-let e17_async_contrast ?quick ~seed () = Exp_async.e17 ?quick ~seed ()
-let e18_link_faults ?quick ~seed () = Exp_robustness.e18 ?quick ~seed ()
-let e19_crash_recovery ?quick ~seed () = Exp_robustness.e19 ?quick ~seed ()
-let e20_async_faults ?quick ~seed () = Exp_async.e20 ?quick ~seed ~domains:1 ()
-let e21_sparse_regimes ?quick ~seed () = Exp_sparse.e21 ?quick ~seed ()
-let e22_sparse_scaling ?quick ~seed () = Exp_sparse.e22 ?quick ~seed ()
-let e23_attack_search ?quick ~seed () = Exp_attack.e23 ?quick ~seed ()
+(* Assembles the per-claim experiment modules' descriptors into the one
+   registry that bin/ba_sweep drives. *)
 
 let registry =
   let num (d : Ba_harness.Registry.descriptor) =
@@ -48,8 +15,3 @@ let registry =
        (Exp_coin.experiments @ Exp_scaling.experiments @ Exp_complexity.experiments
       @ Exp_baselines.experiments @ Exp_ablations.experiments @ Exp_async.experiments
       @ Exp_robustness.experiments @ Exp_sparse.experiments @ Exp_attack.experiments))
-
-let all ?(policy = Ba_harness.Supervisor.default) ?(quick = false) ~seed () =
-  List.map
-    (fun (d : Ba_harness.Registry.descriptor) -> d.run ~policy ~domains:1 ~quick ~seed)
-    (Ba_harness.Registry.all registry)

@@ -1,132 +1,13 @@
 (** The paper's claims as runnable experiments (E1–E23 in DESIGN.md §5).
 
-    This is a thin compatibility facade: the experiments themselves live in
-    the per-claim modules ({!Exp_coin}, {!Exp_scaling}, {!Exp_complexity},
-    {!Exp_baselines}, {!Exp_ablations}, {!Exp_async}, {!Exp_robustness},
-    {!Exp_sparse}), each of which also
-    publishes {!Ba_harness.Registry.descriptor}s. The assembled {!registry}
-    is the single source of truth that [ba_sweep] and [bench] drive — no
-    experiment list is maintained anywhere else.
+    The experiments live in the per-claim modules ({!Exp_coin},
+    {!Exp_scaling}, {!Exp_complexity}, {!Exp_baselines}, {!Exp_ablations},
+    {!Exp_async}, {!Exp_robustness}, {!Exp_sparse}, {!Exp_attack}), each of
+    which publishes {!Ba_harness.Registry.descriptor}s; this module
+    assembles them. Every experiment returns a structured
+    {!Ba_harness.Report.t}, is deterministic in its seed, and shrinks its
+    sizes/trials by roughly 4x in the quick profile. *)
 
-    Every experiment returns a structured {!Ba_harness.Report.t}: rendered
-    [body] tables/figures for the terminal, plus machine-readable [verdict],
-    [metrics] and [series] for the JSON/CSV pipeline. All experiments are
-    deterministic in [seed]. [quick] shrinks sizes/trials by roughly 4x. *)
-
-type report = Ba_harness.Report.t
-
-val pp_report : Format.formatter -> report -> unit
-
-(** E1 — Theorem 3: Algorithm 1 is a common coin up to [√n/2] Byzantine
-    nodes. Closed-form Monte-Carlo across sizes plus an engine cross-check
-    against the rushing splitter adversary. *)
-val e1_coin_theorem3 : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E2 — Corollary 1: designated-committee coin, [k] flippers, [√k/2]
-    Byzantine. *)
-val e2_coin_corollary1 : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E3 — Theorem 2 shape: measured rounds of Algorithm 3 (Las Vegas form)
-    vs [t] under the committee-killer, with the log–log fitted exponent in
-    the [t ≥ √n] regime compared to the predicted quadratic. *)
-val e3_rounds_vs_t : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E4 — Algorithm 3 vs Chor–Coan across [t]: who wins where, and the
-    crossover near [t ≈ n/log²n]. Includes the figure. *)
-val e4_crossover : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E5 — early termination: protocol provisioned for [t], adversary capped
-    at [q < t]; rounds must track [q], not [t]. *)
-val e5_early_termination : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E6 — validity under every adversary, both unanimous inputs, all
-    protocols. *)
-val e6_validity_matrix : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E7 — agreement aggregated across protocol × adversary pairs with
-    fail-fast off: failures are counted, never silently aborted on. *)
-val e7_agreement_aggregate : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E8 — message/bit complexity of Algorithm 3 vs Chor–Coan across [t]. *)
-val e8_message_complexity : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E9 — Las Vegas variant: round distribution under the committee-killer;
-    always terminates. *)
-val e9_las_vegas : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E10 — the baseline ladder: deterministic (phase-king, EIG) vs Chor–Coan
-    vs Algorithm 3 vs the Bar-Joseph–Ben-Or lower-bound curve. *)
-val e10_baseline_ladder : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E11a — α ablation: committee-count constant vs rounds and vs failure
-    rate of the fixed-phase (whp) variant. Registered as part of E11. *)
-val e11_ablation_alpha : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E11b — coin piggybacking vs a separate coin round. Registered as part
-    of E11. *)
-val e11_ablation_coin_round : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E12 — contrast baseline: the sampling-majority dynamics from the
-    paper's related work; convergence degrades past the [√n] threshold. *)
-val e12_sampling_majority : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E13 — near-optimality: measured rounds vs the Bar-Joseph–Ben-Or lower
-    bound at [t = √n] across three orders of magnitude in [n]. *)
-val e13_bjb_gap : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E14 — fault-model ladder: the crash-only (Bar-Joseph–Ben-Or model)
-    committee killer vs the full Byzantine one. *)
-val e14_crash_vs_byzantine : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E15 — termination ablation: the paper-literal "broadcast once more"
-    stalls under the lone-finisher attack; the extra-phase realization
-    terminates. *)
-val e15_termination_ablation : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E16 — why committees are predetermined by ID: Feige's lightest-bin
-    election keeps honest majorities against a static adversary and
-    collapses against the adaptive rushing one. *)
-val e16_election_vs_adaptive : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E17 — the asynchronous contrast: classic async Ben-Or under an
-    adversarial scheduler vs synchronous Algorithm 3. *)
-val e17_async_contrast : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E18 — benign link faults (drop/duplicate/corrupt) counted against the
-    [t] budget: agreement/validity must survive, termination rate is
-    reported per fault rate. *)
-val e18_link_faults : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E19 — crash-recovery gauntlet: rotating send-omission waves with the
-    Lemma 4 termination window enforced. *)
-val e19_crash_recovery : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E20 — async robustness: Ben-Or and Bracha RBC under benign link faults
-    injected into scheduler-visible delivery (the asynchronous mirror of
-    E18), audited through the unified substrate checkers. *)
-val e20_async_faults : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E21 — the sparse message plane's communication regimes: identical
-    sampled-majority dynamics under dense broadcast, √n-sampling, and the
-    heartbeat word budget; bits, words and rounds-to-decide compared. *)
-val e21_sparse_regimes : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E22 — sampled-plane scaling: total bits vs [n] for ks-sample at degree
-    [⌈√n⌉]; the fitted log–log exponent should land near 1.5. *)
-val e22_sparse_scaling : ?quick:bool -> seed:int64 -> unit -> report
-
-(** E23 — deterministic attack search over the strategy IR vs the fixed
-    adversary catalog: per (n,t) cell, the searched strategy's objective
-    (coin bias or rounds-to-decide) against the best cataloged attack,
-    with a held-out robustness margin. *)
-val e23_attack_search : ?quick:bool -> seed:int64 -> unit -> report
-
-(** The full E1–E23 registry, in numeric id order. The single source of
-    truth for every driver ([ba_sweep], [bench]) and for the DESIGN.md §5
-    coverage test. *)
+(** The full E1–E23 registry, in numeric id order: the one experiment list,
+    driven by [ba_sweep] and checked against DESIGN.md §5 by the tests. *)
 val registry : Ba_harness.Registry.t
-
-(** [all ?policy ?quick ~seed ()] — run every registered experiment, in
-    order. [policy] (default {!Ba_harness.Supervisor.default}) supervises
-    each experiment's Monte-Carlo trials. *)
-val all : ?policy:Ba_harness.Supervisor.policy -> ?quick:bool -> seed:int64 -> unit -> report list

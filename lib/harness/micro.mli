@@ -3,7 +3,7 @@
     [@perf-smoke] alias (DESIGN.md §10).
 
     A document is a set of named metrics (ns/call, as measured by
-    [bench/main.exe --micro-only]) plus a tolerance policy. Comparison
+    [bench/main.exe]) plus a tolerance policy. Comparison
     normalizes every metric by a designated {e calibration} metric
     (default: a CPU-bound PRNG primitive) so the committed baseline is
     meaningful across machines of different absolute speed; a metric

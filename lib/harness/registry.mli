@@ -5,8 +5,8 @@
     returning a structured {!Report.t}. The registry is an immutable
     collection built with {!of_list} (duplicate ids are rejected at
     construction time), so there is no module-level mutable state to share
-    across domains (lint rule D003). Drivers ([ba_sweep], [bench/main])
-    iterate it instead of hand-maintaining experiment lists. *)
+    across domains (lint rule D003). [ba_sweep] iterates it instead of
+    hand-maintaining an experiment list. *)
 
 type tag = Coin | Scaling | Complexity | Baseline | Ablation | Async | Robustness
 

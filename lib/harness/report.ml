@@ -95,8 +95,6 @@ let metric_key s =
   let n = String.length out in
   if n > 0 && out.[n - 1] = '_' then String.sub out 0 (n - 1) else out
 
-let find_metric r name = List.assoc_opt name r.metrics
-
 let json_of_float f = if Float.is_finite f then Json.Float f else Json.Null
 
 let to_json r =

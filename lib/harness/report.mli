@@ -97,8 +97,6 @@ val crash_of_json : Json.t -> (crash, string) result
     underscore (["las-vegas(alpha=2.0)"] → ["las_vegas_alpha_2_0"]). *)
 val metric_key : string -> string
 
-val find_metric : t -> string -> float option
-
 (** [to_json r] — the report without [body]. Non-finite metric values are
     serialized as [null] (the {!Json} emitter rejects them as floats). The
     optional [trials], [failures], [shard_failures] and [crash] fields are

@@ -24,10 +24,3 @@ let live_honest view =
     if (not view.corrupted.(v)) && not view.halted.(v) then ids := v :: !ids
   done;
   !ids
-
-let corrupted_ids view =
-  let ids = ref [] in
-  for v = view.n - 1 downto 0 do
-    if view.corrupted.(v) then ids := v :: !ids
-  done;
-  !ids

@@ -53,6 +53,3 @@ val no_op_action : 'msg action
 
 (** [live_honest view] — IDs that are neither corrupted nor halted. *)
 val live_honest : ('state, 'msg) view -> int list
-
-(** [corrupted_ids view] — IDs currently corrupted. *)
-val corrupted_ids : ('state, 'msg) view -> int list

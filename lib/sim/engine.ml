@@ -330,8 +330,6 @@ let to_run o =
 
 let honest_outputs o = Run.honest_outputs (to_run o)
 
-let all_honest_decided o = Run.all_honest_decided (to_run o)
-
 let agreement_holds o = Run.agreement_holds (to_run o)
 
 let validity_holds o = Run.validity_holds (to_run o)

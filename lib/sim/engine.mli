@@ -97,7 +97,7 @@ val to_run : outcome -> Run.outcome
 
 (** [honest_outputs o] — the decided values of honest nodes (those with an
     output), as a list of [(node, value)]. Equal to
-    [Run.honest_outputs (to_run o)], as are the three predicates below. *)
+    [Run.honest_outputs (to_run o)], as are the two predicates below. *)
 val honest_outputs : outcome -> (int * int) list
 
 (** [agreement_holds o] — no two honest nodes output different values, and
@@ -110,6 +110,3 @@ val agreement_holds : outcome -> bool
     Note: per the adaptive model, validity is judged against nodes that were
     honest for the entire execution. *)
 val validity_holds : outcome -> bool
-
-(** [all_honest_decided o] — every finally-honest node produced an output. *)
-val all_honest_decided : outcome -> bool

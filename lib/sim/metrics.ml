@@ -39,7 +39,6 @@ let record_round m = m.rounds <- m.rounds + 1
 
 let rounds m = m.rounds
 let messages m = m.honest_msgs + m.byz_msgs
-let honest_messages m = m.honest_msgs
 let byzantine_messages m = m.byz_msgs
 let bits m = m.bits
 let words m = m.words

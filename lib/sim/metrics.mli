@@ -33,9 +33,6 @@ val rounds : t -> int
 (** [messages m] is the total delivered messages (honest + Byzantine). *)
 val messages : t -> int
 
-(** [honest_messages m] counts only messages whose sender was honest. *)
-val honest_messages : t -> int
-
 val byzantine_messages : t -> int
 
 (** [bits m] is the total payload bits delivered. *)

@@ -27,11 +27,6 @@ type plan =
 
 type t = { tp_plan : plan; tp_n : int; tp_salt : int64 }
 
-let plan_name = function
-  | Dense -> "dense"
-  | Sampled { degree } -> Printf.sprintf "sampled-%d" degree
-  | Committees { count } -> Printf.sprintf "committees-%d" count
-
 let is_dense = function Dense -> true | Sampled _ | Committees _ -> false
 
 let validate plan ~n =
@@ -55,14 +50,6 @@ let instantiate plan ~n ~seed =
   { tp_plan = plan;
     tp_n = n;
     tp_salt = Ba_prng.Splitmix64.mix (Int64.add (Ba_prng.Splitmix64.mix seed) topology_salt) }
-
-let degree_bound t =
-  match t.tp_plan with
-  | Dense -> t.tp_n - 1
-  | Sampled { degree } -> degree
-  | Committees { count } ->
-      (* own committee + designated committee, self excluded *)
-      min (t.tp_n - 1) (2 * (((t.tp_n - 1) / count) + 1))
 
 let edge_rng t ~round ~src =
   let h = Ba_prng.Splitmix64.mix (Int64.add t.tp_salt (Int64.of_int round)) in

@@ -24,8 +24,6 @@ type plan =
 
 type t
 
-val plan_name : plan -> string
-
 (** [is_dense p] — [true] exactly for {!Dense}; the engine's fast-path
     discriminator. *)
 val is_dense : plan -> bool
@@ -36,9 +34,6 @@ val validate : plan -> n:int -> unit
 
 (** [instantiate plan ~n ~seed] fixes the topology for one run. Validates. *)
 val instantiate : plan -> n:int -> seed:int64 -> t
-
-(** Upper bound on any sender's per-round out-degree — buffer sizing. *)
-val degree_bound : t -> int
 
 (** [recipients t ~round ~src] — the distinct, sorted-ascending recipient
     set of [src] in [round], never containing [src] itself (self-delivery is

@@ -15,13 +15,6 @@ let wilson ~successes ~trials ~z =
 
 let wilson95 ~successes ~trials = wilson ~successes ~trials ~z:1.96
 
-let normal_of_summary ~z s =
-  let m = Summary.mean s in
-  if Summary.count s < 2 then { lo = m; hi = m }
-  else begin
-    let half = z *. Summary.stderr s in
-    { lo = m -. half; hi = m +. half }
-  end
 
 let bootstrap ?(iterations = 1000) ~rng ~statistic xs =
   let n = Array.length xs in

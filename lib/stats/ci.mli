@@ -15,10 +15,6 @@ val wilson : successes:int -> trials:int -> z:float -> interval
 (** [wilson95 ~successes ~trials] is [wilson] at 95% confidence. *)
 val wilson95 : successes:int -> trials:int -> interval
 
-(** [normal_of_summary ~z s] is [mean ± z * stderr] from a {!Summary.t};
-    degenerate (point) when fewer than two observations. *)
-val normal_of_summary : z:float -> Summary.t -> interval
-
 (** [bootstrap ?iterations ~rng ~statistic xs] is the percentile-bootstrap
     95% interval of [statistic] over resamples of [xs]. *)
 val bootstrap :

@@ -72,12 +72,6 @@ let standard_run ?(allow_faults = false) (o : Ba_sim.Run.outcome) =
   @ congest_run o
   @ if allow_faults then [] else benign_faults_run o
 
-let agreement (o : Ba_sim.Engine.outcome) = agreement_run (Ba_sim.Engine.to_run o)
-
-let validity (o : Ba_sim.Engine.outcome) = validity_run (Ba_sim.Engine.to_run o)
-
-let completion (o : Ba_sim.Engine.outcome) = completion_run (Ba_sim.Engine.to_run o)
-
 let corruption_budget (o : Ba_sim.Engine.outcome) =
   (* Accumulate in report order (budget, count coherence, then per-round
      double corruptions chronologically) so the violation list is stable
@@ -97,10 +91,6 @@ let corruption_budget (o : Ba_sim.Engine.outcome) =
         r.rr_new_corruptions)
     o.records;
   List.rev !violations
-
-let benign_faults (o : Ba_sim.Engine.outcome) = benign_faults_run (Ba_sim.Engine.to_run o)
-
-let congest (o : Ba_sim.Engine.outcome) = congest_run (Ba_sim.Engine.to_run o)
 
 let decided_coherence (o : Ba_sim.Engine.outcome) =
   let violations = ref [] in
@@ -195,6 +185,7 @@ let standard ?rounds_per_phase ?(allow_faults = false) (o : Ba_sim.Engine.outcom
         | Some rpp -> termination_gap ~rounds_per_phase:rpp o
         | None -> [])
   in
-  agreement o @ validity o @ completion o @ corruption_budget o @ congest o
-  @ (if allow_faults then [] else benign_faults o)
+  let ro = Ba_sim.Engine.to_run o in
+  agreement_run ro @ validity_run ro @ completion_run ro @ corruption_budget o @ congest_run ro
+  @ (if allow_faults then [] else benign_faults_run ro)
   @ record_checks

@@ -24,10 +24,9 @@ val pp_violation : Format.formatter -> violation -> unit
 
     Typed on the engine-agnostic {!Ba_sim.Run.outcome}, so synchronous and
     asynchronous executions audit through one code path: project a native
-    outcome with [Engine.to_run] / [Async_engine.to_run] (or use the
-    sync-typed wrappers below, which preserve their historical message
-    text). The completion check words its violation in the span's native
-    unit (round cap vs. scheduler-step cap). *)
+    outcome with [Engine.to_run] / [Async_engine.to_run]. The completion
+    check words its violation in the span's native unit (round cap vs.
+    scheduler-step cap). *)
 
 val agreement_run : Ba_sim.Run.outcome -> violation list
 
@@ -39,8 +38,14 @@ val completion_run : Ba_sim.Run.outcome -> violation list
     twice" audit stays on the synchronous {!corruption_budget}. *)
 val corruption_budget_run : Ba_sim.Run.outcome -> violation list
 
+(** [benign_faults_run ro] — fires when the run's metrics show injected
+    benign fault events ({!Ba_sim.Faults}): in a configuration that claims
+    to be fault-free, any metered drop/duplicate/corruption/silence is a
+    harness bug. Fault experiments opt out via [allow_faults]. *)
 val benign_faults_run : Ba_sim.Run.outcome -> violation list
 
+(** [congest_run ro] — fires when the run was metered with a CONGEST limit
+    and some payload exceeded it. *)
 val congest_run : Ba_sim.Run.outcome -> violation list
 
 (** [standard_run ?allow_faults ro] — every substrate-level check:
@@ -49,27 +54,11 @@ val congest_run : Ba_sim.Run.outcome -> violation list
     audit for supervised async trials. *)
 val standard_run : ?allow_faults:bool -> Ba_sim.Run.outcome -> violation list
 
-(** {1 Outcome-level checks (synchronous engine)} (no records needed). *)
+(** {1 Synchronous-engine checks} *)
 
-val agreement : Ba_sim.Engine.outcome -> violation list
-
-val validity : Ba_sim.Engine.outcome -> violation list
-
-(** [completion o] — the run finished before the engine's round cap and
-    every honest node decided. *)
-val completion : Ba_sim.Engine.outcome -> violation list
-
+(** [corruption_budget o] — {!corruption_budget_run} on [Engine.to_run o],
+    plus the per-record audit that no node is corrupted twice. *)
 val corruption_budget : Ba_sim.Engine.outcome -> violation list
-
-(** [congest o] — fires when the run was metered with a CONGEST limit and
-    some payload exceeded it. *)
-val congest : Ba_sim.Engine.outcome -> violation list
-
-(** [benign_faults o] — fires when the run's metrics show injected benign
-    fault events ({!Ba_sim.Faults}): in a configuration that claims to be
-    fault-free, any metered drop/duplicate/corruption/silence is a harness
-    bug. Fault experiments opt out via {!standard}'s [allow_faults]. *)
-val benign_faults : Ba_sim.Engine.outcome -> violation list
 
 (** Record-level checks (need [~record:true]). *)
 
@@ -83,7 +72,7 @@ val termination_gap : rounds_per_phase:int -> Ba_sim.Engine.outcome -> violation
 (** [standard ?rounds_per_phase ?allow_faults o] — all of the above that
     apply (record checks are skipped when the outcome carries no records; the
     termination gap is skipped unless [rounds_per_phase] is given; the
-    {!benign_faults} audit is skipped when [allow_faults] is [true] — default
+    {!benign_faults_run} audit is skipped when [allow_faults] is [true] — default
     [false], so fault injection never leaks into an experiment silently). *)
 val standard :
   ?rounds_per_phase:int -> ?allow_faults:bool -> Ba_sim.Engine.outcome -> violation list

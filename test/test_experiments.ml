@@ -6,7 +6,7 @@ let seed = 97L
 
 let registry = Ba_experiments.Experiments.registry
 
-let check_report (r : Ba_experiments.Experiments.report) =
+let check_report (r : Ba_harness.Report.t) =
   Alcotest.(check bool) (r.id ^ " has body") true (String.length r.body > 50);
   Alcotest.(check bool) (r.id ^ " has summary") true (String.length r.summary > 20);
   Alcotest.(check bool) (r.id ^ " has metrics") true (r.metrics <> []);
@@ -15,17 +15,26 @@ let check_report (r : Ba_experiments.Experiments.report) =
     true
     (r.verdict <> Ba_harness.Report.Fail)
 
+let run_quick ~seed (d : Ba_harness.Registry.descriptor) =
+  d.run ~policy:Ba_harness.Supervisor.default ~domains:1 ~quick:true ~seed
+
+let find id =
+  match Ba_harness.Registry.find registry id with
+  | Some d -> d
+  | None -> Alcotest.failf "%s is not registered" id
+
 let registry_cases =
   List.map
     (fun (d : Ba_harness.Registry.descriptor) ->
       Alcotest.test_case d.id `Slow (fun () ->
-          let r = d.run ~policy:Ba_harness.Supervisor.default ~domains:1 ~quick:true ~seed in
+          let r = run_quick ~seed d in
           Alcotest.(check string) "report id matches descriptor" d.id r.id;
           check_report r))
     (Ba_harness.Registry.all registry)
 
 (* Every E<n> id named in DESIGN.md §5's index table must be registered
-   exactly once, and nothing else may be registered. *)
+   exactly once, nothing else may be registered, and the registry lists
+   the ids in numeric order E1..E23. *)
 let test_design_md_coverage () =
   let text = In_channel.with_open_bin "../DESIGN.md" In_channel.input_all in
   let lines = String.split_on_char '\n' text in
@@ -58,7 +67,10 @@ let test_design_md_coverage () =
     design_ids;
   Alcotest.(check int) "nothing registered beyond DESIGN.md section 5"
     (List.length design_ids)
-    (Ba_harness.Registry.size registry)
+    (Ba_harness.Registry.size registry);
+  Alcotest.(check (list string)) "registry in numeric id order"
+    (List.init (List.length design_ids) (fun i -> Printf.sprintf "E%d" (i + 1)))
+    (Ba_harness.Registry.ids registry)
 
 let test_every_descriptor_tagged () =
   List.iter
@@ -67,30 +79,24 @@ let test_every_descriptor_tagged () =
       Alcotest.(check bool) (d.id ^ " has a claim") true (d.claim <> ""))
     (Ba_harness.Registry.all registry)
 
-let test_facade_all () =
-  let ids =
-    List.map
-      (fun (r : Ba_experiments.Experiments.report) -> r.id)
-      (Ba_experiments.Experiments.all ~quick:true ~seed ())
-  in
-  Alcotest.(check (list string)) "all() follows the registry"
-    (Ba_harness.Registry.ids registry) ids
-
 let test_determinism () =
-  let r1 = Ba_experiments.Experiments.e9_las_vegas ~quick:true ~seed:5L () in
-  let r2 = Ba_experiments.Experiments.e9_las_vegas ~quick:true ~seed:5L () in
+  let e9 = find "E9" in
+  let r1 = run_quick ~seed:5L e9 in
+  let r2 = run_quick ~seed:5L e9 in
   Alcotest.(check string) "same seed, same report" r1.body r2.body;
   Alcotest.(check bool) "same seed, same metrics" true (r1.metrics = r2.metrics);
-  let r3 = Ba_experiments.Experiments.e9_las_vegas ~quick:true ~seed:6L () in
+  let r3 = run_quick ~seed:6L e9 in
   Alcotest.(check bool) "different seed, different report" true (r1.body <> r3.body)
 
-let test_legacy_ablation_runners () =
-  (* E11a/E11b stay callable through the facade even though the registry
-     exposes them as the single merged E11. *)
-  let a = Ba_experiments.Experiments.e11_ablation_alpha ~quick:true ~seed () in
-  let b = Ba_experiments.Experiments.e11_ablation_coin_round ~quick:true ~seed () in
-  Alcotest.(check string) "alpha ablation id" "E11a" a.id;
-  Alcotest.(check string) "coin-round ablation id" "E11b" b.id
+(* E11 merges the alpha and coin-round ablations into one report; both
+   halves must survive the merge under their metric prefixes. *)
+let test_e11_merges_ablations () =
+  let r = run_quick ~seed (find "E11") in
+  let has prefix =
+    List.exists (fun (k, _) -> String.starts_with ~prefix k) r.Ba_harness.Report.metrics
+  in
+  Alcotest.(check bool) "alpha_* metrics" true (has "alpha_");
+  Alcotest.(check bool) "coin_* metrics" true (has "coin_")
 
 let () =
   Alcotest.run "ba_experiments"
@@ -98,6 +104,5 @@ let () =
       ("meta",
        [ Alcotest.test_case "DESIGN.md section 5 coverage" `Quick test_design_md_coverage;
          Alcotest.test_case "descriptors tagged and claimed" `Quick test_every_descriptor_tagged;
-         Alcotest.test_case "all() follows the registry" `Slow test_facade_all;
          Alcotest.test_case "reports deterministic in seed" `Quick test_determinism;
-         Alcotest.test_case "legacy ablation runners" `Slow test_legacy_ablation_runners ]) ]
+         Alcotest.test_case "E11 carries both ablations" `Slow test_e11_merges_ablations ]) ]

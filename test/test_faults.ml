@@ -168,13 +168,13 @@ let test_benign_faults_audit () =
   Alcotest.(check int) "clean run has no fault events" 0
     (Metrics.fault_events clean.Ba_sim.Engine.metrics);
   Alcotest.(check int) "audit quiet on clean run" 0
-    (List.length (Ba_trace.Checker.benign_faults clean));
+    (List.length (Ba_trace.Checker.benign_faults_run (Ba_sim.Engine.to_run clean)));
   let faults = { Ba_experiments.Setups.no_faults with fs_drop = 0.3 } in
   let faulty = outcome ~faults:(Some faults) ~seed:5L in
   Alcotest.(check bool) "faults metered" true
     (Metrics.fault_events faulty.Ba_sim.Engine.metrics > 0);
   Alcotest.(check bool) "audit fires" true
-    (Ba_trace.Checker.benign_faults faulty <> []);
+    (Ba_trace.Checker.benign_faults_run (Ba_sim.Engine.to_run faulty) <> []);
   Alcotest.(check bool) "standard checker opts out via allow_faults" true
     (List.for_all
        (fun v -> v.Ba_trace.Checker.check <> "benign_faults")

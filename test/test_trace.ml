@@ -25,28 +25,31 @@ let outcome ?(n = 4) ?(t = 1) ?(rounds = 3) ?(completed = true) ?(outputs = None
 
 let names vs = List.map (fun (v : Ba_trace.Checker.violation) -> v.check) vs
 
+(* Names of the violations a substrate-level check reports on [o]. *)
+let run_check check o = names (check (Ba_sim.Engine.to_run o))
+
 let test_agreement_checker () =
-  Alcotest.(check (list string)) "clean" [] (names (Ba_trace.Checker.agreement (outcome ())));
+  Alcotest.(check (list string)) "clean" [] (run_check Ba_trace.Checker.agreement_run (outcome ()));
   let bad = outcome ~outputs:(Some [| Some 1; Some 0; Some 1; Some 1 |]) () in
-  Alcotest.(check (list string)) "fires" [ "agreement" ] (names (Ba_trace.Checker.agreement bad))
+  Alcotest.(check (list string)) "fires" [ "agreement" ] (run_check Ba_trace.Checker.agreement_run bad)
 
 let test_validity_checker () =
   let bad = outcome ~inputs:(Some [| 1; 1; 1; 1 |]) ~outputs:(Some (Array.make 4 (Some 0))) () in
-  Alcotest.(check (list string)) "fires" [ "validity" ] (names (Ba_trace.Checker.validity bad));
+  Alcotest.(check (list string)) "fires" [ "validity" ] (run_check Ba_trace.Checker.validity_run bad);
   (* corrupted node's deviant input doesn't matter *)
   let corrupted = [| false; false; false; true |] in
   let ok =
     outcome ~inputs:(Some [| 1; 1; 1; 0 |]) ~corrupted:(Some corrupted)
       ~outputs:(Some [| Some 1; Some 1; Some 1; None |]) ()
   in
-  Alcotest.(check (list string)) "corrupt input ignored" [] (names (Ba_trace.Checker.validity ok))
+  Alcotest.(check (list string)) "corrupt input ignored" [] (run_check Ba_trace.Checker.validity_run ok)
 
 let test_completion_checker () =
   let bad = outcome ~completed:false () in
-  Alcotest.(check (list string)) "cap hit" [ "completion" ] (names (Ba_trace.Checker.completion bad));
+  Alcotest.(check (list string)) "cap hit" [ "completion" ] (run_check Ba_trace.Checker.completion_run bad);
   let undecided = outcome ~outputs:(Some [| Some 1; None; Some 1; Some 1 |]) () in
   Alcotest.(check (list string)) "missing output" [ "completion" ]
-    (names (Ba_trace.Checker.completion undecided))
+    (run_check Ba_trace.Checker.completion_run undecided)
 
 let test_budget_checker () =
   let bad = outcome ~corrupted:(Some [| true; true; false; false |]) ~t:1 () in
