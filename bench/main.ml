@@ -81,8 +81,8 @@ let make_micro_tests () =
              (arun.Ba_experiments.Setups.arun_exec ~max_steps:2048 ~inputs ~seed:!seed ())
                .Ba_sim.Run.span))
   in
-  (* The same workload under the fifo scheduler, which also runs on the
-     engine's pure-scheduler loop (DESIGN.md section 15). The name predates
+  (* The same workload under the fifo scheduler, whose pick takes the
+     slab's global head (DESIGN.md section 15). The name predates
      the removal of the batched path and is kept so the committed baseline
      still gates it. *)
   let engine_async_step_batched =

@@ -1,7 +1,7 @@
 (* The pure schedulers declare their rule as an engine policy: the engine
    derives the reference [act] from it (so promise and behavior cannot
-   drift) and is free to run them on its pure-scheduler loop, straight
-   against the slab with exact draw replay.
+   drift) and its scheduler loop picks for them straight from the slab,
+   with exact draw replay.
 
    Each scheduling bias is one [Strategy.async_bias] point of the
    adversary-strategy IR (DESIGN.md §16); [of_strategy] /

@@ -50,10 +50,11 @@ type ('state, 'msg) adversary = {
 }
 
 (* The reference semantics of each declared policy, as a plain [act] over
-   the adversary view. The engine's pure-scheduler loop replicates this
-   behavior (and its PRNG draw pattern) against the slab without
-   materializing the view; [opaque_of] forces any adversary through this
-   generic route so tests can check the two stay byte-identical. *)
+   the adversary view. The engine's pick rule for a pure scheduler
+   replicates this behavior (and its PRNG draw pattern) against the slab
+   without materializing the view; [opaque_of] forces any adversary
+   through the view-building [Opaque] pick so tests can check the two stay
+   byte-identical. *)
 let act_of_policy policy view =
   let deliver =
     match (policy, view.pending) with
@@ -128,16 +129,16 @@ let run ?max_steps ?max_delay ?faults ?trace
   let step = ref 0 in
   let deliveries = ref 0 in
   let states = Array.make n None in
-  (* Decisions are sticky (the protocol contract: [output] is "decided
-     value, once set"), so completion can be tracked incrementally instead
-     of scanning every node after every delivery. The pure-scheduler loop
-     below relies on this; the opaque path keeps the legacy full scan. *)
+  (* Completion is one counter of undecided honest nodes. Decisions are
+     sticky (the protocol contract: [output] is "decided value, once set"),
+     so a node leaves the count exactly once: when it decides, or when it
+     is corrupted while still undecided. No step rescans the nodes. *)
   let decided = Array.make n false in
-  let decided_count = ref 0 in
+  let undecided = ref n in
   let note_decided v st =
     if (not decided.(v)) && protocol.output st <> None then begin
       decided.(v) <- true;
-      incr decided_count
+      decr undecided
     end
   in
   (* Silence windows are indexed by the current scheduler step. *)
@@ -167,13 +168,6 @@ let run ?max_steps ?max_delay ?faults ?trace
     enqueue ~src:v sends
   done;
   let state_of v = match states.(v) with Some s -> s | None -> assert false in
-  let all_decided () =
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      if (not corrupted.(v)) && protocol.output (state_of v) = None then ok := false
-    done;
-    !ok
-  in
   let deliver ~src ~dst msg =
     if dst >= 0 && dst < n && not corrupted.(dst) then begin
       (* Link faults apply at delivery time, in scheduler order — the one
@@ -215,11 +209,58 @@ let run ?max_steps ?max_delay ?faults ?trace
           enqueue ~src:dst sends
     end
   in
-  let completed = ref (all_decided ()) in
-  let victims_of vs =
-    let a = Array.make n false in
-    List.iter (fun v -> if v >= 0 && v < n then a.(v) <- true) vs;
-    a
+  (* Whether this step's adversary injected anything: an injecting
+     adversary is never deadlocked, even with nothing in flight. Only the
+     opaque pick can set it. *)
+  let injected = ref false in
+  (* [Opaque]: materialize the full view, let [act] choose, and apply its
+     corruptions and injections before naming a slot. The global list is
+     already id-sorted, so it is the view's pending list as is. *)
+  let pick_opaque () =
+    let pending =
+      let rec collect s acc =
+        if s = -1 then List.rev acc
+        else
+          collect (Mailbox.next_global mb s)
+            ({ id = Mailbox.id mb s;
+               src = Mailbox.src mb s;
+               dst = Mailbox.dst mb s;
+               msg = Mailbox.msg mb s;
+               age = !step - Mailbox.birth mb s }
+            :: acc)
+      in
+      collect (Mailbox.head mb) []
+    in
+    let view =
+      { step = !step;
+        n;
+        t;
+        corrupted = Array.copy corrupted;
+        budget_left = t - !corruptions_used;
+        decided = Array.init n (fun v -> decided.(v) && not corrupted.(v));
+        pending;
+        states = Array.init n (fun v -> if corrupted.(v) then None else states.(v)) }
+    in
+    let action = adversary.act view in
+    (* Adaptive corruption: the victim's undelivered messages are
+       retracted (the adversary may re-inject whatever it likes). *)
+    List.iter
+      (fun v ->
+        if v >= 0 && v < n && (not corrupted.(v)) && !corruptions_used < t then begin
+          corrupted.(v) <- true;
+          incr corruptions_used;
+          if not decided.(v) then decr undecided;
+          emit (Ba_sim.Run.Corrupt { index = !step; node = v });
+          Mailbox.remove_src mb v
+        end)
+      action.corrupt;
+    (* Byzantine injections: delivered immediately, capped at n per step. *)
+    List.iteri
+      (fun i (src, dst, msg) ->
+        if i < n && src >= 0 && src < n && corrupted.(src) then deliver ~src ~dst msg)
+      action.inject;
+    injected := action.inject <> [];
+    match action.deliver with Some id -> Mailbox.find_by_id mb id | None -> -1
   in
   (* Oldest pending message whose sender is not a victim: the minimum id
      over the per-src mailbox heads — O(n), not O(queue). *)
@@ -270,123 +311,47 @@ let run ?max_steps ?max_delay ?faults ?trace
     done;
     !found
   in
-  (* ---- Opaque path: the legacy loop, semantics-complete (adaptive
-     corruption, injections, deliver-by-id), now walking the slab instead
-     of folding a Hashtbl. Byte-identical to the pre-slab engine: the
-     global list is already id-sorted, and because ids are monotone in
-     birth the minimum-id stale message is the global head. ---- *)
-  let generic () =
-    while (not !completed) && !step < max_steps do
-      incr step;
-      emit (Ba_sim.Run.Tick { index = !step });
-      let pending =
-        let rec collect s acc =
-          if s = -1 then List.rev acc
-          else
-            collect (Mailbox.next_global mb s)
-              ({ id = Mailbox.id mb s;
-                 src = Mailbox.src mb s;
-                 dst = Mailbox.dst mb s;
-                 msg = Mailbox.msg mb s;
-                 age = !step - Mailbox.birth mb s }
-              :: acc)
-        in
-        collect (Mailbox.head mb) []
-      in
-      let view =
-        { step = !step;
-          n;
-          t;
-          corrupted = Array.copy corrupted;
-          budget_left = t - !corruptions_used;
-          decided =
-            Array.init n (fun v ->
-                (not corrupted.(v)) && protocol.output (state_of v) <> None);
-          pending;
-          states = Array.init n (fun v -> if corrupted.(v) then None else states.(v)) }
-      in
-      let action = adversary.act view in
-      (* Adaptive corruption: the victim's undelivered messages are
-         retracted (the adversary may re-inject whatever it likes). *)
-      List.iter
-        (fun v ->
-          if v >= 0 && v < n && (not corrupted.(v)) && !corruptions_used < t then begin
-            corrupted.(v) <- true;
-            incr corruptions_used;
-            emit (Ba_sim.Run.Corrupt { index = !step; node = v });
-            Mailbox.remove_src mb v
-          end)
-        action.corrupt;
-      (* Byzantine injections: delivered immediately, capped at n per step. *)
-      let injections = List.filteri (fun i _ -> i < n) action.inject in
-      List.iter
-        (fun (src, dst, msg) ->
-          if src >= 0 && src < n && corrupted.(src) then deliver ~src ~dst msg)
-        injections;
-      (* Scheduling: bounded-delay fairness first, then the adversary's
-         pick, then FIFO (= the global head). *)
-      let chosen =
-        let h = Mailbox.head mb in
-        if h = -1 then -1
-        else if !step - Mailbox.birth mb h >= max_delay then h
-        else
-          match action.deliver with
-          | Some id -> ( match Mailbox.find_by_id mb id with -1 -> h | s -> s)
-          | None -> h
-      in
-      if chosen <> -1 then begin
-        let src = Mailbox.src mb chosen
-        and dst = Mailbox.dst mb chosen
-        and m = Mailbox.msg mb chosen in
-        Mailbox.remove mb chosen;
-        deliver ~src ~dst m
-      end;
-      completed := all_decided ();
-      if (not !completed) && chosen = -1 && action.inject = [] then
-        (* Deadlock: nothing in flight, nothing injected, not all decided. *)
-        step := max_steps
-    done
+  (* One pick rule per policy: a slot to deliver, or -1 for "no pick"
+     (deliver the oldest). The pure schedulers pick straight from the slab
+     and make exactly [act_of_policy]'s PRNG draws, which never happen on
+     an empty pending set. *)
+  let pick =
+    match adversary.policy with
+    | Opaque -> pick_opaque
+    | Fifo_pick -> fun () -> Mailbox.head mb
+    | Avoid_srcs vs ->
+        let victim = Array.make n false in
+        List.iter (fun v -> if v >= 0 && v < n then victim.(v) <- true) vs;
+        fun () -> first_non_victim victim
+    | Uniform_pick rng ->
+        fun () ->
+          let size = Mailbox.size mb in
+          if size = 0 then -1 else Mailbox.nth_global mb (Ba_prng.Rng.int rng size)
+    | Scored { sc_rng; sc_score } ->
+        fun () -> if Mailbox.head mb = -1 then -1 else pick_scored sc_rng sc_score
   in
-  (* ---- Pure-scheduler loop, for every declared policy, traced or not:
-     no view materialization, no per-step full scans; the policy's PRNG
-     draws are replayed exactly as [act_of_policy] would make them (draw
-     first, bounded-delay override after, matching the act-then-override
-     order of the generic loop). ---- *)
-  let serial_fast () =
-    let pick =
-      match adversary.policy with
-      | Opaque -> assert false
-      | Fifo_pick -> fun () -> Mailbox.head mb
-      | Avoid_srcs vs ->
-          let victim = victims_of vs in
-          fun () -> (
-            match first_non_victim victim with -1 -> Mailbox.head mb | s -> s)
-      | Uniform_pick rng ->
-          fun () -> Mailbox.nth_global mb (Ba_prng.Rng.int rng (Mailbox.size mb))
-      | Scored { sc_rng; sc_score } -> fun () -> pick_scored sc_rng sc_score
-    in
-    while (not !completed) && !step < max_steps do
-      incr step;
-      emit (Ba_sim.Run.Tick { index = !step });
-      let h = Mailbox.head mb in
-      if h = -1 then
-        (* Pure schedulers never inject, so an empty queue is a deadlock. *)
-        step := max_steps
-      else begin
-        let p = pick () in
-        let chosen = if !step - Mailbox.birth mb h >= max_delay then h else p in
-        let src = Mailbox.src mb chosen
-        and dst = Mailbox.dst mb chosen
-        and m = Mailbox.msg mb chosen in
-        Mailbox.remove mb chosen;
-        deliver ~src ~dst m;
-        completed := !decided_count = n
-      end
-    done
-  in
-  (match adversary.policy with
-  | Opaque -> generic ()
-  | Fifo_pick | Avoid_srcs _ | Uniform_pick _ | Scored _ -> serial_fast ());
+  (* The one scheduler loop: pick, then the bounded-delay override (a stale
+     global head goes first; ids are monotone in birth, so the minimum-id
+     stale message is the head), delivery, completion, deadlock. *)
+  let completed = ref (!undecided = 0) in
+  while (not !completed) && !step < max_steps do
+    incr step;
+    emit (Ba_sim.Run.Tick { index = !step });
+    let p = pick () in
+    let h = Mailbox.head mb in
+    let chosen = if p = -1 || !step - Mailbox.birth mb h >= max_delay then h else p in
+    if chosen <> -1 then begin
+      let src = Mailbox.src mb chosen
+      and dst = Mailbox.dst mb chosen
+      and m = Mailbox.msg mb chosen in
+      Mailbox.remove mb chosen;
+      deliver ~src ~dst m
+    end;
+    completed := !undecided = 0;
+    if (not !completed) && chosen = -1 && not !injected then
+      (* Deadlock: nothing in flight, nothing injected, not all decided. *)
+      step := max_steps
+  done;
   { protocol_name = protocol.name;
     adversary_name = adversary.adv_name;
     n;
@@ -415,7 +380,3 @@ let to_run o =
     corrupted = o.corrupted;
     corruptions_used = o.corruptions_used;
     metrics = o.metrics }
-
-let agreement_holds o = Ba_sim.Run.agreement_holds (to_run o)
-
-let validity_holds o = Ba_sim.Run.validity_holds (to_run o)

@@ -23,11 +23,11 @@
 
     In-flight messages live in one preallocated pending-message slab
     ({!Mailbox}). An adversary's {!policy} declares its scheduling rule,
-    and the engine runs one of two loops: a pure-scheduler loop that picks
-    straight from the slab (replaying the policy's exact PRNG draws), or
-    the fully general view-based loop for [Opaque] adversaries. Both
-    produce byte-identical outcomes for a policy adversary and its
-    {!opaque_of}; DESIGN.md §15 gives the argument.
+    and the engine's one scheduler loop turns it into a per-step pick: the
+    pure schedulers pick straight from the slab (replaying the policy's
+    exact PRNG draws), and [Opaque] builds the full view and runs [act].
+    A policy adversary and its {!opaque_of} produce byte-identical
+    outcomes; DESIGN.md §15 gives the argument.
 
     Determinism: everything is a function of [(seed, parameters)], as in
     the synchronous engine. *)
@@ -87,8 +87,8 @@ type 'msg action = {
     the two cannot drift) or {!opaque}. *)
 type ('state, 'msg) policy =
   | Opaque
-      (** no promise: the general view/act loop runs every step (adaptive
-          corruption, injections, deliver-by-id all honored) *)
+      (** no promise: the full view is built and [act] runs every step
+          (adaptive corruption, injections, deliver-by-id all honored) *)
   | Fifo_pick  (** always deliver the oldest pending message *)
   | Avoid_srcs of int list
       (** deliver the oldest message whose sender is not listed; fall back
@@ -115,14 +115,14 @@ type ('state, 'msg) adversary = {
     [policy], so the declared promise holds by construction. *)
 val scheduler : name:string -> ('state, 'msg) policy -> ('state, 'msg) adversary
 
-(** [opaque ~name act] — an adversary with no policy promise; always runs
-    on the general loop. *)
+(** [opaque ~name act] — an adversary with no policy promise; its [act]
+    sees the full view every step. *)
 val opaque :
   name:string -> (('state, 'msg) view -> 'msg action) -> ('state, 'msg) adversary
 
 (** [opaque_of adv] — [adv] stripped of its policy promise: same [act],
-    forced through the general loop. Test hook: a policy adversary and its
-    [opaque_of] must produce byte-identical outcomes. *)
+    forced through the view-building [Opaque] pick. Test hook: a policy
+    adversary and its [opaque_of] must produce byte-identical outcomes. *)
 val opaque_of : ('state, 'msg) adversary -> ('state, 'msg) adversary
 
 (** [fifo] — deliver strictly in send order, corrupt nobody: the friendly
@@ -184,9 +184,3 @@ val run :
     substrate record ([Ba_sim.Run.outcome]), with
     [span = Run.Steps o.steps]. Arrays are shared, not copied. *)
 val to_run : outcome -> Ba_sim.Run.outcome
-
-(** [agreement_holds o] and [validity_holds o] equal
-    [Run.agreement_holds (to_run o)] and [Run.validity_holds (to_run o)]. *)
-val agreement_holds : outcome -> bool
-
-val validity_holds : outcome -> bool

@@ -30,9 +30,6 @@ type t = {
     @raise Invalid_argument unless [n >= 3t + 1]. *)
 val make : ?beta:float -> ?gamma:float -> ?cycle:bool -> n:int -> t:int -> unit -> t
 
-(** [group_of_phase inst ~phase] — the flipping group of 1-based [phase]. *)
-val group_of_phase : t -> phase:int -> int
-
 (** [designated inst] — the flipper schedule, for adversary constructors. *)
 val designated : t -> phase:int -> int -> bool
 

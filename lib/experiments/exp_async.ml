@@ -135,7 +135,7 @@ let e17 ~policy ~domains ~quick ~seed =
    fault-free control arm, however, must be perfect: the model assumes
    reliable links. [domains] parallelizes whole trials
    ({!Ba_harness.Experiment.monte_carlo_view}); within a trial the random
-   scheduler runs the engine's pure-scheduler loop, one rank draw per
+   scheduler picks straight from the engine's slab, one rank draw per
    step (DESIGN.md §15). *)
 let e20 ~policy ~domains ~quick ~seed =
   let trials = if quick then 6 else 15 in

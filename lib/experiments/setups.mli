@@ -143,10 +143,6 @@ type async_scheduler_kind =
   | Balancer_sched  (** Ben-Or-aware vote balancer (Ben-Or only) *)
   | Splitter_sched  (** Ben-Or-aware vote splitter (Ben-Or only) *)
 
-val async_protocol_name : async_protocol_kind -> string
-
-val async_scheduler_name : async_scheduler_kind -> string
-
 (** CLI-facing parsers; [Error] carries the list of valid names. ["rbc"]
     parses to [Async_bracha { broadcaster = 0 }]; ["delayer"] to
     [Delayer_sched [0]]. *)

@@ -41,8 +41,6 @@ type shard_failure_kind = Worker_lost | Worker_stalled | Bad_checkpoint
 
 val shard_failure_kind_to_string : shard_failure_kind -> string
 
-val shard_failure_kind_of_string : string -> shard_failure_kind option
-
 (** A shard that exhausted its retry budget: the campaign's graceful
     degradation record (merged suite JSON [shard_failures] entries —
     validated by [ba_json_check]). *)

@@ -86,10 +86,8 @@ val with_failures : t -> Supervisor.failure list -> t
     non-empty [sfs] forces the verdict to [Fail]. *)
 val with_shard_failures : t -> Campaign.shard_failure list -> t
 
-(** JSON object: seed, error, backtrace_digest (a report's optional [crash]
-    field on the wire). *)
-val crash_to_json : crash -> Json.t
-
+(** [crash_of_json j] reads a report's optional [crash] field (seed, error,
+    backtrace_digest) off the wire. *)
 val crash_of_json : Json.t -> (crash, string) result
 
 (** [metric_key s] — canonical snake_case metric name: lowercased, runs of

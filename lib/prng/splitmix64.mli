@@ -18,10 +18,6 @@ val copy : t -> t
 (** [next g] returns the next 64-bit output and advances [g]. *)
 val next : t -> int64
 
-(** [next_state s] is the purely functional form: the state that follows
-    [s]. *)
-val next_state : int64 -> int64
-
 (** [mix z] is the SplitMix64 output function (finalizer) applied to [z].
     Exposed for use as a general-purpose 64-bit hash. *)
 val mix : int64 -> int64

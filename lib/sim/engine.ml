@@ -136,14 +136,13 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
          per-recipient copy of the honest slab (recipients ascending, then
          senders ascending): [byz_msg] for a corrupted sender, then
          [Faults.deliver] when the run has a fault instance, then
-         metering, as index-level edits on the copy. *)
-    let new_states = Array.copy states in
-    let corrupted_now = ref [] in
-    for v = n - 1 downto 0 do
-      if corrupted.(v) then corrupted_now := v :: !corrupted_now
-    done;
-    (match (topo, faults, !corrupted_now) with
-    | Some ti, _, _ ->
+         metering, as index-level edits on the copy.
+
+       Each recv reads and writes only its own node's state, and the view
+       holds its own arrays, so states are stepped in place. Corruptions
+       never revert, so the budget counter is the corrupted-set size. *)
+    (match (topo, faults) with
+    | Some ti, _ ->
         (* Restricted topology: per-recipient delivery lists, built in a
            single src-ascending pass — sampling, Byzantine patching and
            fault draws all happen here. Each list is built newest-head, then
@@ -232,9 +231,9 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
         in
         for u = 0 to n - 1 do
           if live u then
-            new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(plane_of u)
+            states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(plane_of u)
         done
-    | None, None, [] ->
+    | None, None when !corruptions_used = 0 ->
         let live_recipients = ref 0 in
         for v = 0 to n - 1 do
           if live v then incr live_recipients
@@ -257,9 +256,9 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
         let plane = Plane.shared ?encode:codec ~slab honest_msgs in
         for u = 0 to n - 1 do
           if live u then
-            new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:plane
+            states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:plane
         done
-    | None, _, _ ->
+    | None, _ ->
         for u = 0 to n - 1 do
           if live u then begin
             let data = Array.copy honest_msgs in
@@ -277,11 +276,10 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
                 match data.(v) with Some payload -> meter payload ~byzantine | None -> ()
               end
             done;
-            new_states.(u) <-
+            states.(u) <-
               protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(Plane.of_array ?encode:codec data)
           end
         done);
-    Array.blit new_states 0 states 0 n;
     for v = 0 to n - 1 do
       if (not corrupted.(v)) && (not halted.(v)) && protocol.halted states.(v) then
         halted.(v) <- true

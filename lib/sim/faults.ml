@@ -66,10 +66,35 @@ let silenced_in_round plan ~round =
     (fun acc s -> if round >= s.s_from && round < s.s_until then acc + 1 else acc)
     0 plan.silences
 
+type 'msg delivery = { d_payload : 'msg option; d_mutated : bool; d_duplicate : bool }
+
+(* The one fault-draw sequence for a non-self link: drop, then corrupt,
+   then duplicate, from the salted stream. Drops and corruptions are
+   metered here; what a duplicate means (and when it is metered) is the
+   caller's. *)
+let draw inst ~metrics m =
+  let p = inst.plan in
+  if p.drop > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.drop then begin
+    Metrics.record_link_drop metrics;
+    { d_payload = None; d_mutated = false; d_duplicate = false }
+  end
+  else begin
+    let m, mutated =
+      if p.corrupt > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.corrupt then (
+        match p.mutate with
+        | Some f ->
+            Metrics.record_link_corruption metrics;
+            (f inst.rng m, true)
+        | None -> (m, false))
+      else (m, false)
+    in
+    let duplicate = p.duplicate > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.duplicate in
+    { d_payload = Some m; d_mutated = mutated; d_duplicate = duplicate }
+  end
+
 let deliver inst ~metrics ~round ~src ~dst payload =
   if src = dst then payload
   else begin
-    let p = inst.plan in
     let stale =
       match inst.pending with
       | None -> None
@@ -84,26 +109,13 @@ let deliver inst ~metrics ~round ~src ~dst payload =
       match payload with
       | None -> None
       | Some m ->
-          if p.drop > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.drop then begin
-            Metrics.record_link_drop metrics;
-            None
-          end
-          else begin
-            let m =
-              if p.corrupt > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.corrupt then (
-                match p.mutate with
-                | Some f ->
-                    Metrics.record_link_corruption metrics;
-                    f inst.rng m
-                | None -> m)
-              else m
-            in
-            (match inst.pending with
-            | Some buf when p.duplicate > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.duplicate ->
-                buf.(src).(dst) <- Some (round, m)
-            | Some _ | None -> ());
-            Some m
-          end
+          let d = draw inst ~metrics m in
+          (* A drawn duplicate is re-delivered next round iff the link is
+             then idle; it is metered only if that happens. *)
+          (match (d.d_payload, inst.pending) with
+          | Some m, Some buf when d.d_duplicate -> buf.(src).(dst) <- Some (round, m)
+          | (Some _ | None), _ -> ());
+          d.d_payload
     in
     match (fresh, stale) with
     | (Some _ as m), _ -> m
@@ -113,34 +125,15 @@ let deliver inst ~metrics ~round ~src ~dst payload =
     | None, None -> None
   end
 
-type 'msg delivery = { d_payload : 'msg option; d_mutated : bool; d_duplicate : bool }
-
-(* Async plane application: same plan, same salted stream, but no round
-   structure — the duplicate buffer does not apply. A duplicate is instead
-   reported to the caller, which re-enqueues the copy as a fresh
+(* Async plane application: same plan, same salted stream and draws, but
+   no round structure — the duplicate buffer does not apply. A duplicate is
+   instead reported to the caller, which re-enqueues the copy as a fresh
    scheduler-visible message (metered here, at queue time, since delivery
-   of the copy is then indistinguishable from any other delivery). Draw
-   order matches [deliver]: drop, then corrupt, then duplicate. *)
+   of the copy is then indistinguishable from any other delivery). *)
 let apply_async inst ~metrics ~src ~dst payload =
   if src = dst then { d_payload = Some payload; d_mutated = false; d_duplicate = false }
   else begin
-    let p = inst.plan in
-    if p.drop > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.drop then begin
-      Metrics.record_link_drop metrics;
-      { d_payload = None; d_mutated = false; d_duplicate = false }
-    end
-    else begin
-      let m, mutated =
-        if p.corrupt > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.corrupt then (
-          match p.mutate with
-          | Some f ->
-              Metrics.record_link_corruption metrics;
-              (f inst.rng payload, true)
-          | None -> (payload, false))
-        else (payload, false)
-      in
-      let duplicate = p.duplicate > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.duplicate in
-      if duplicate then Metrics.record_link_duplicate metrics;
-      { d_payload = Some m; d_mutated = mutated; d_duplicate = duplicate }
-    end
+    let d = draw inst ~metrics payload in
+    if d.d_duplicate then Metrics.record_link_duplicate metrics;
+    d
   end

@@ -24,13 +24,11 @@ type inst = {
   round_bound : int;  (** {!Ks_agreement.inst.round_bound} × (heartbeat+1) *)
 }
 
-val default_heartbeat : int
-
 (** Whether a node spends words in [round] (exposed for tests). *)
 val speaks : heartbeat:int -> state -> round:int -> bool
 
 (** [make ~n ~t ()] builds an instance; [degree] defaults to
-    {!Ks_agreement.default_degree}, [heartbeat] to {!default_heartbeat}.
+    {!Ks_agreement.default_degree}, [heartbeat] to 4.
     [name] defaults to ["word-budget"].
     @raise Invalid_argument if [n < 2], [degree] is outside [1, n-1],
     [heartbeat < 1], or [decide_streak < 1]. *)

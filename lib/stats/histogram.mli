@@ -28,9 +28,6 @@ val overflow : t -> int
 (** [bins h] is the number of bins. *)
 val bins : t -> int
 
-(** [bin_range h i] is the [\[lo, hi)] interval of bin [i]. *)
-val bin_range : t -> int -> float * float
-
 (** [mode_bin h] is the index of the fullest bin ([None] when empty). *)
 val mode_bin : t -> int option
 

@@ -94,7 +94,3 @@ val validate : automaton -> error list
 (** Deterministic ByMC-compatible rendering: a pure function of the IR
     value — byte-identical across runs, machines, and readdir orders. *)
 val to_string : automaton -> string
-
-val pp_expr : Format.formatter -> expr -> unit
-
-val pp_guard : Format.formatter -> guard -> unit

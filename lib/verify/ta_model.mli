@@ -2,7 +2,7 @@
 
     The skeleton ({!Ba_core.Skeleton}) runs the same two-round phase for
     Rabin's dealer protocol, Chor–Coan, and the paper's Algorithm 3 — only
-    the coin source differs. {!phase_automaton} compiles that shared round
+    the coin source differs. One shared builder compiles that round
     structure into the {!Ta} IR as the standard {e one-phase decomposition}
     (cf. ByMC's [ABA-decomp.ta]): locations are the phase's control points,
     shared counters count round-1 votes and round-2 decided-votes per value,
@@ -18,10 +18,6 @@
     the protocol; properties that need forced branches (validity through
     the coin case) are discharged exactly by {!Exhaust} instead — see
     DESIGN.md §12 for the boundary. *)
-
-(** [phase_automaton ~name ~coin_comment ()] — the one-phase decomposition
-    shared by every piggyback-coin skeleton config. *)
-val phase_automaton : name:string -> coin_comment:string -> unit -> Ta.automaton
 
 (** The Rabin dealer instantiation ([Setups] protocol ["rabin"]). *)
 val rabin_dealer : unit -> Ta.automaton

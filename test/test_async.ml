@@ -20,6 +20,10 @@ let echo : (echo_state, int) Async_engine.protocol =
     output = (fun st -> st.got);
     msg_bits = (fun _ -> 1) }
 
+let agreement o = Ba_sim.Run.agreement_holds (Async_engine.to_run o)
+
+let validity o = Ba_sim.Run.validity_holds (Async_engine.to_run o)
+
 let test_echo_delivers_everything () =
   let n = 5 in
   let o =
@@ -82,6 +86,61 @@ let test_injection_requires_corruption () =
   (* node 2 must decide 1 (echo from node 0), never 99 *)
   Alcotest.(check (option int)) "forged message dropped" (Some 1) o.outputs.(2)
 
+let test_corruption_completes_run () =
+  (* Corrupting the last undecided honest node completes the run at that
+     step: after a delivery (echo, fifo order) and with nothing in flight
+     (where it would otherwise be a deadlock). *)
+  let last_undecided (view : (_, _) Async_engine.view) =
+    let left = ref [] in
+    Array.iteri
+      (fun v d -> if (not d) && not view.corrupted.(v) then left := v :: !left)
+      view.decided;
+    match !left with [ v ] -> [ v ] | _ -> []
+  in
+  let corrupted_at = ref 0 in
+  let adv =
+    Async_engine.opaque ~name:"finish-by-corruption" (fun view ->
+        let corrupt = last_undecided view in
+        if corrupt <> [] then corrupted_at := view.Async_engine.step;
+        { Async_engine.deliver = None; corrupt; inject = [] })
+  in
+  let o =
+    Async_engine.run ~protocol:echo ~adversary:adv ~n:4 ~t:1 ~inputs:[| 1; 0; 0; 0 |]
+      ~seed:5L ()
+  in
+  Alcotest.(check bool) "completed" true o.completed;
+  Alcotest.(check int) "corrupted at step 4" 4 !corrupted_at;
+  Alcotest.(check int) "ends at the corruption step" !corrupted_at o.steps;
+  Alcotest.(check int) "one corruption" 1 o.corruptions_used;
+  let mute : (echo_state, int) Async_engine.protocol =
+    { echo with init = (fun ctx ~input -> (fst (echo.init ctx ~input), [])) }
+  in
+  let o =
+    Async_engine.run ~protocol:mute ~adversary:adv ~n:2 ~t:1 ~inputs:[| 1; 0 |] ~seed:5L ()
+  in
+  Alcotest.(check bool) "completed with nothing in flight" true o.completed;
+  Alcotest.(check int) "at step 1" 1 o.steps
+
+let test_corrupting_decided_node () =
+  (* Node 1 decides at step 2 (echo, fifo order) and sends nothing, so
+     corrupting it at step 3 neither retracts mail nor changes when the
+     remaining honest nodes finish. *)
+  let run_with corrupt_at =
+    let adv =
+      Async_engine.opaque ~name:"corrupt-decided" (fun view ->
+          { Async_engine.deliver = None;
+            corrupt = (if view.Async_engine.step = corrupt_at then [ 1 ] else []);
+            inject = [] })
+    in
+    Async_engine.run ~protocol:echo ~adversary:adv ~n:4 ~t:1 ~inputs:[| 1; 0; 0; 0 |]
+      ~seed:6L ()
+  in
+  let clean = run_with 0 and attacked = run_with 3 in
+  Alcotest.(check bool) "clean run completes" true clean.completed;
+  Alcotest.(check bool) "attacked run completes" true attacked.completed;
+  Alcotest.(check int) "node 1 corrupted" 1 attacked.corruptions_used;
+  Alcotest.(check int) "same completion step" clean.steps attacked.steps
+
 let test_validation () =
   Alcotest.check_raises "bad t" (Invalid_argument "Async_engine.run: need 0 <= t < n")
     (fun () ->
@@ -101,7 +160,7 @@ let test_ben_or_validity () =
         ben_or_run ~adversary:Async_engine.fifo ~inputs:(Array.make 11 b) ~seed:5L ()
       in
       Alcotest.(check bool) "completed" true o.completed;
-      Alcotest.(check bool) "validity" true (Async_engine.validity_holds o);
+      Alcotest.(check bool) "validity" true (validity o);
       List.iter (fun out -> Alcotest.(check (option int)) "value" (Some b) out)
         (Array.to_list o.outputs))
     [ 0; 1 ]
@@ -116,7 +175,7 @@ let test_ben_or_agreement_random_scheduler () =
     in
     Alcotest.(check bool) (Printf.sprintf "seed %d completed" s) true o.completed;
     Alcotest.(check bool) (Printf.sprintf "seed %d agreement" s) true
-      (Async_engine.agreement_holds o)
+      (agreement o)
   done
 
 let test_ben_or_agreement_byzantine () =
@@ -128,7 +187,7 @@ let test_ben_or_agreement_byzantine () =
         ~seed:(Int64.of_int s) ()
     in
     Alcotest.(check bool) (Printf.sprintf "seed %d clean" s) true
-      (o.completed && Async_engine.agreement_holds o);
+      (o.completed && agreement o);
     Alcotest.(check bool) "budget respected" true (o.corruptions_used <= 2)
   done
 
@@ -141,7 +200,7 @@ let test_ben_or_validity_under_attack () =
             ~adversary:(Async_adv.ben_or_splitter ~rng:(Ba_prng.Rng.create (Int64.of_int s)))
             ~inputs:(Array.make 11 b) ~seed:(Int64.of_int s) ()
         in
-        Alcotest.(check bool) "clean" true (o.completed && Async_engine.validity_holds o)
+        Alcotest.(check bool) "clean" true (o.completed && validity o)
       done)
     [ 0; 1 ]
 
@@ -165,7 +224,7 @@ let test_ben_or_flooder () =
         ~seed:(Int64.of_int s) ()
     in
     Alcotest.(check bool) (Printf.sprintf "seed %d clean" s) true
-      (o.completed && Async_engine.agreement_holds o)
+      (o.completed && agreement o)
   done
 
 let test_ben_or_balancer_scheduling_attack () =
@@ -181,7 +240,7 @@ let test_ben_or_balancer_scheduling_attack () =
         Async_engine.run ~protocol:(Ben_or_async.make ~n ~t) ~adversary:(adversary_of s) ~n ~t
           ~inputs ~seed:(Int64.of_int s) ()
       in
-      Alcotest.(check bool) "clean" true (o.completed && Async_engine.agreement_holds o);
+      Alcotest.(check bool) "clean" true (o.completed && agreement o);
       Alcotest.(check int) "zero corruptions" 0 o.corruptions_used;
       acc := !acc + o.deliveries
     done;
@@ -228,7 +287,7 @@ let prop_ben_or_random_inputs_safe =
           ~adversary:(Async_adv.random_scheduler ~rng:(Ba_prng.Rng.create seed))
           ~n ~t ~inputs ~seed ()
       in
-      o.completed && Async_engine.agreement_holds o && Async_engine.validity_holds o)
+      o.completed && agreement o && validity o)
 
 let () =
   Alcotest.run "ba_async"
@@ -238,6 +297,8 @@ let () =
          Alcotest.test_case "bounded delay" `Quick test_bounded_delay_forces_delivery;
          Alcotest.test_case "corruption retracts" `Quick test_corruption_retracts_messages;
          Alcotest.test_case "injection needs corruption" `Quick test_injection_requires_corruption;
+         Alcotest.test_case "corruption completes run" `Quick test_corruption_completes_run;
+         Alcotest.test_case "corrupting decided node" `Quick test_corrupting_decided_node;
          Alcotest.test_case "validation" `Quick test_validation ]);
       ("ben-or",
        [ Alcotest.test_case "validity" `Quick test_ben_or_validity;

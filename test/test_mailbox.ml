@@ -1,8 +1,8 @@
-(* Mailbox slab + async engine loops: structural invariants under random
+(* Mailbox slab + async engine picks: structural invariants under random
    op sequences (model-based), slot recycling without aliasing,
    FIFO-per-link delivery order under duplicates and silence, and
-   byte-identity of the pure-scheduler loop (PRNG replay included) against
-   the general view-based loop. *)
+   byte-identity of every pure-scheduler pick (PRNG replay included)
+   against the view-building opaque pick. *)
 
 open Ba_async
 module Rng = Ba_prng.Rng
@@ -225,9 +225,9 @@ let ben_or_run ?faults ~adversary ~seed () =
     ~inputs:(Array.init n (fun i -> i mod 2)) ~seed ()
 
 let prop_policy_vs_opaque =
-  (* Every policy on the pure-scheduler loop (fifo, delayer, PRNG-replay
-     uniform and scored) must be byte-identical to the same adversary forced
-     through the general view-based loop, with and without benign faults;
+  (* Every policy's slab pick (fifo, delayer, PRNG-replay uniform and
+     scored) must be byte-identical to the same adversary forced through
+     the view-building opaque pick, with and without benign faults;
      the recorder workload adds fifo under duplicates and a silence
      window. *)
   QCheck.Test.make ~name:"policy fast paths = opaque general loop" ~count:12 QCheck.int64
