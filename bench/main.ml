@@ -11,8 +11,26 @@
 
 (* ---------------- Bechamel micro-benchmarks ---------------- *)
 
+let calibration_name = "calibrate/int-kernel"
+
 let make_micro_tests () =
   let open Bechamel in
+  (* The gate's unit of measure (DESIGN.md section 10): 256 rounds of an
+     xorshift step on a local int. It calls nothing in lib/, so no library
+     change can move it, and it allocates nothing. *)
+  let calibration =
+    let state = ref 1 in
+    Test.make ~name:calibration_name
+      (Staged.stage (fun () ->
+           let x = ref !state in
+           for _ = 1 to 256 do
+             x := !x lxor (!x lsl 13);
+             x := !x lxor (!x lsr 7);
+             x := !x lxor (!x lsl 17)
+           done;
+           state := !x;
+           !x))
+  in
   let rng = Ba_prng.Rng.create 7L in
   let prng_bits = Test.make ~name:"rng/bits64" (Staged.stage (fun () -> Ba_prng.Rng.bits64 rng))
   in
@@ -136,14 +154,18 @@ let make_micro_tests () =
         ~protocol:(Ba_experiments.Setups.Ks_sample { degree = 4 })
         ~adversary:Ba_experiments.Setups.Silent ~n ~t:0
     in
-    let inputs = Ba_experiments.Setups.inputs Ba_experiments.Setups.Split ~n ~t:0 in
+    (* Built on first call: Bechamel compacts the heap before every
+       sample, so a live n-slot array from here would slow and perturb
+       every micro measured before this one. *)
+    let inputs = lazy (Ba_experiments.Setups.inputs Ba_experiments.Setups.Split ~n ~t:0) in
     let seed = ref 0L in
     Test.make ~name:"plane/sparse-round-n1M"
       (Staged.stage (fun () ->
            seed := Int64.add !seed 1L;
-           (run.exec ~max_rounds:1 ~record:false ~inputs ~seed:!seed ()).Ba_sim.Engine.rounds))
+           (run.exec ~max_rounds:1 ~record:false ~inputs:(Lazy.force inputs) ~seed:!seed ())
+             .Ba_sim.Engine.rounds))
   in
-  [ prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer; engine_round;
+  [ calibration; prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer; engine_round;
     engine_async_step; engine_async_step_batched; engine_async_round; model; sparse_round ]
 
 (* Returns the measured (name, ns/call) pairs, sorted by name. *)
@@ -200,7 +222,7 @@ let write_micro_json ~path measured =
   let tolerances =
     List.filter (fun (name, _) -> List.mem_assoc name metrics) micro_tolerances
   in
-  let doc = Ba_harness.Micro.make ~calibration:"rng/bits64" ~tolerances metrics in
+  let doc = Ba_harness.Micro.make ~calibration:calibration_name ~tolerances metrics in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
         (Ba_harness.Json.to_string ~pretty:true (Ba_harness.Micro.to_json doc));

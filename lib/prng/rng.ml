@@ -14,37 +14,21 @@ let split_n g k = Array.init k (fun _ -> split g)
 
 let bits64 g = Xoshiro256.next g.gen
 
-let bool g = Int64.compare (bits64 g) 0L < 0
+let bool g = Xoshiro256.bool g.gen
 
 let sign g = if bool g then 1 else -1
 
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  if bound = 1 then 0
-  else begin
-    (* Rejection sampling for exact uniformity: raw is uniform in
-       [0, max_int]; accept only raws below the largest multiple of [bound]
-       that fits, so every residue is equally likely. *)
-    let bound64 = Int64.of_int bound in
-    let cutoff = Int64.sub Int64.max_int (Int64.rem Int64.max_int bound64) in
-    let rec draw () =
-      let raw = Int64.shift_right_logical (bits64 g) 1 in
-      if Int64.compare raw cutoff >= 0 then draw ()
-      else Int64.to_int (Int64.rem raw bound64)
-    in
-    draw ()
-  end
+  Xoshiro256.int_below g.gen bound
 
 let int_in_range g ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";
   lo + int g (hi - lo + 1)
 
-let float g =
-  (* 53 random bits scaled to [0, 1). *)
-  let bits = Int64.shift_right_logical (bits64 g) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+let float g = Xoshiro256.float g.gen
 
-let bernoulli g p = float g < p
+let bernoulli g p = Xoshiro256.bernoulli g.gen p
 
 let binomial g ~n ~p =
   if n < 0 then invalid_arg "Rng.binomial: n < 0";

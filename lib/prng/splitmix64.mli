@@ -22,6 +22,11 @@ val next : t -> int64
     Exposed for use as a general-purpose 64-bit hash. *)
 val mix : int64 -> int64
 
+(** [fill b seed] writes the first [Bytes.length b / 8] outputs of
+    [create seed] into [b]'s successive native-endian 64-bit words,
+    allocating nothing. {!Xoshiro256} seeds its state with it. *)
+val fill : Bytes.t -> int64 -> unit
+
 (** [split g] derives a fresh generator from [g] (advancing [g]) such that
     the two streams are statistically independent. *)
 val split : t -> t

@@ -62,6 +62,21 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
   (* One packed-code slab for the whole run, repacked in place each benign
      broadcast round (DESIGN.md section 10). *)
   let slab = Array.make (max n 1) Plane.absent in
+  (* A restricted plan delivers through one CSR inbox slab per run
+     (DESIGN.md section 13), sized once from the plan's out-degree bound:
+     every sender has at most its self-edge plus [degree_bound] links per
+     round. [edge_msg] keeps per-edge payloads, needed only when a fault
+     plan or a corrupted sender can change them. *)
+  let cap = match topo with Some ti -> n * (Topology.degree_bound ti + 1) | None -> 0 in
+  let per_node = if cap > 0 then n + 1 else 0 in
+  let edge_dst = Array.make cap 0 in
+  let edge_msg = Array.make (if Option.is_some faults || t > 0 then cap else 0) None in
+  let src_off = Array.make per_node 0 in
+  let inbox_end = Array.make per_node 0 in
+  let sender_code = Array.make per_node Plane.absent in
+  let inbox_srcs = Array.make cap 0 in
+  let inbox_msgs = Array.make cap None in
+  let inbox_codes = if cap > 0 && Option.is_some codec then Some (Array.make cap Plane.absent) else None in
   let live v = (not corrupted.(v)) && not halted.(v) in
   let all_honest_halted () =
     let stop = ref true in
@@ -124,8 +139,8 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
         end)
       action.corrupt;
     (* 4. Delivery + 5. recv for each live honest node. Under a restricted
-       topology, delivery routes through per-recipient sparse plane slices
-       (first arm below; DESIGN.md §13). On the dense plan, two modes, both
+       topology, delivery routes through sparse plane slices of the CSR
+       inbox slab (first arm below; DESIGN.md §13). On the dense plan, two modes, both
        observably identical to per-link delivery (same metrics, same RNG
        draw order — the determinism proof obligation of DESIGN.md §10):
 
@@ -143,95 +158,123 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
        never revert, so the budget counter is the corrupted-set size. *)
     (match (topo, faults) with
     | Some ti, _ ->
-        (* Restricted topology: per-recipient delivery lists, built in a
-           single src-ascending pass — sampling, Byzantine patching and
-           fault draws all happen here. Each list is built newest-head, then
-           materialized back-to-front into sorted slices.
-           Byzantine traffic is constrained to the sender's sampled links:
-           corruption buys a node's slots in the topology, not extra edges
-           (DESIGN.md §13). *)
-        let inboxes = Array.make n [] in
-        let push ~src ~dst payload = inboxes.(dst) <- (src, payload) :: inboxes.(dst) in
+        (* Restricted topology, pass 1, senders ascending: sampling,
+           [byz_msg], fault draws and metering happen here, in the order of
+           the per-link loop. Each delivered edge's recipient is appended
+           to [edge_dst] (compacting the sampled set in place) and counted
+           in [inbox_end.(dst + 1)]. Byzantine traffic is constrained to
+           the sender's sampled links: corruption buys a node's slots in
+           the topology, not extra edges (DESIGN.md §13). *)
+        Array.fill inbox_end 0 (n + 1) 0;
+        let e = ref 0 in
+        let keep u =
+          edge_dst.(!e) <- u;
+          incr e;
+          inbox_end.(u + 1) <- inbox_end.(u + 1) + 1
+        in
+        let keep_owned u m =
+          edge_msg.(!e) <- m;
+          keep u
+        in
+        let link ~src ~dst raw ~byzantine =
+          let m =
+            match faults with
+            | None -> raw
+            | Some inst -> Faults.deliver inst ~metrics ~round:r ~src ~dst raw
+          in
+          match m with
+          | Some p ->
+              meter p ~byzantine;
+              keep_owned dst m
+          | None -> ()
+        in
         for v = 0 to n - 1 do
+          src_off.(v) <- !e;
           if corrupted.(v) then begin
-            let rs = Topology.recipients ti ~round:r ~src:v in
-            Array.iter
-              (fun u ->
-                if live u then begin
-                  let raw = action.byz_msg ~src:v ~dst:u in
-                  let m =
-                    match faults with
-                    | None -> raw
-                    | Some inst -> Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u raw
-                  in
-                  match m with
-                  | Some p ->
-                      meter p ~byzantine:true;
-                      push ~src:v ~dst:u p
-                  | None -> ()
-                end)
-              rs
+            let first = !e in
+            for i = first to first + Topology.recipients_into ti ~round:r ~src:v edge_dst ~pos:first - 1 do
+              let u = edge_dst.(i) in
+              if live u then link ~src:v ~dst:u (action.byz_msg ~src:v ~dst:u) ~byzantine:true
+            done
           end
           else if live v then
             match honest_msgs.(v) with
             | Some p -> (
+                (match codec with Some enc -> sender_code.(v) <- enc p | None -> ());
                 (* a node always hears itself, unmetered — as on the dense
-                   plane *)
-                push ~src:v ~dst:v p;
-                let rs = Topology.recipients ti ~round:r ~src:v in
+                   plane; the self-edge takes the slot before the sample *)
+                let first = !e + 1 in
+                let last = first + Topology.recipients_into ti ~round:r ~src:v edge_dst ~pos:first - 1 in
                 match faults with
                 | None ->
-                    let copies = ref 0 in
-                    Array.iter
-                      (fun u ->
-                        if live u then begin
-                          push ~src:v ~dst:u p;
-                          incr copies
-                        end)
-                      rs;
-                    if !copies > 0 then begin
+                    keep v;
+                    for i = first to last do
+                      if live edge_dst.(i) then keep edge_dst.(i)
+                    done;
+                    let copies = !e - first in
+                    if copies > 0 then begin
                       let bits = protocol.msg_bits p in
                       Metrics.record_broadcast metrics ~bits ~words:(protocol.msg_words p)
-                        ~copies:!copies ~byzantine:false;
+                        ~copies ~byzantine:false;
                       match congest_limit_bits with
                       | Some limit when bits > limit ->
-                          Metrics.record_congest_violations metrics !copies
+                          Metrics.record_congest_violations metrics copies
                       | Some _ | None -> ()
                     end
-                | Some inst ->
-                    Array.iter
-                      (fun u ->
-                        if live u then
-                          match Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u (Some p) with
-                          | Some p' ->
-                              meter p' ~byzantine:false;
-                              push ~src:v ~dst:u p'
-                          | None -> ())
-                      rs)
+                | Some _ ->
+                    keep_owned v honest_msgs.(v);
+                    for i = first to last do
+                      let u = edge_dst.(i) in
+                      if live u then link ~src:v ~dst:u honest_msgs.(v) ~byzantine:false
+                    done)
             | None -> ()
         done;
-        let plane_of u =
-          let entries = inboxes.(u) in
-          let len = List.length entries in
-          let srcs = Array.make len 0 in
-          let msgs = Array.make len None in
-          let codes = match codec with Some _ -> Some (Array.make len Plane.absent) | None -> None
-          in
-          let k = ref len in
-          List.iter
-            (fun (s, p) ->
-              decr k;
-              srcs.(!k) <- s;
-              msgs.(!k) <- Some p;
-              match (codes, codec) with
-              | Some cs, Some enc -> cs.(!k) <- enc p
-              | (Some _ | None), _ -> ())
-            entries;
-          Plane.sparse_slice ?codes ~n ~srcs ~msgs ~lo:0 ~hi:len ()
-        in
+        src_off.(n) <- !e;
+        (* Prefix sum: [inbox_end.(u)] becomes the start of [u]'s slice.
+           Pass 2 is a stable counting sort by recipient into the inbox
+           slab: senders run ascending, so every slice is src-ascending,
+           and afterwards [inbox_end.(u)] is the end of [u]'s slice. Only
+           edges a fault or a corruption can change carry their own
+           payload; the rest take their sender's broadcast and its code,
+           encoded once, in a sequential pass 3 (cheaper than scattering
+           two more arrays). *)
+        for u = 1 to n do
+          inbox_end.(u) <- inbox_end.(u) + inbox_end.(u - 1)
+        done;
+        for v = 0 to n - 1 do
+          let owned = Option.is_some faults || corrupted.(v) in
+          for i = src_off.(v) to src_off.(v + 1) - 1 do
+            let u = edge_dst.(i) in
+            let k = inbox_end.(u) in
+            inbox_end.(u) <- k + 1;
+            inbox_srcs.(k) <- v;
+            if owned then begin
+              let m = edge_msg.(i) in
+              inbox_msgs.(k) <- m;
+              match (inbox_codes, codec, m) with
+              | Some cs, Some enc, Some p -> cs.(k) <- enc p
+              | (Some _ | None), _, _ -> ()
+            end
+          done
+        done;
+        if Option.is_none faults then
+          for k = 0 to src_off.(n) - 1 do
+            let v = inbox_srcs.(k) in
+            if not corrupted.(v) then begin
+              inbox_msgs.(k) <- honest_msgs.(v);
+              match inbox_codes with Some cs -> cs.(k) <- sender_code.(v) | None -> ()
+            end
+          done;
+        let lo = ref 0 in
         for u = 0 to n - 1 do
+          let hi = inbox_end.(u) in
           if live u then
-            states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(plane_of u)
+            states.(u) <-
+              protocol.recv (ctx_of u) states.(u) ~round:r
+                ~inbox:
+                  (Plane.sparse_slice ?codes:inbox_codes ~n ~srcs:inbox_srcs ~msgs:inbox_msgs
+                     ~lo:!lo ~hi ());
+          lo := hi
         done
     | None, None when !corruptions_used = 0 ->
         let live_recipients = ref 0 in

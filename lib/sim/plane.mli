@@ -62,8 +62,9 @@ val shared : ?encode:('msg -> int) -> slab:int array -> 'msg option array -> 'ms
     sender id (strictly ascending within the slice), [msgs.(k)] its boxed
     payload, and [codes.(k)] (when the protocol has a codec) its packed
     code. [n] is the sender-id space and becomes {!length}. The arrays are
-    not copied; the engine builds them once per round and never mutates a
-    published slice. Kernels scan only the slice; {!get} binary-searches it;
+    not copied: the engine's slices share one per-run inbox slab, refilled
+    each round, so a slice is valid only until its round's recv steps end
+    (the [Protocol.recv] contract). Kernels scan only the slice; {!get} binary-searches it;
     {!iteri} visits {e delivered} slots only (a sparse inbox has no
     meaningful "absent slot" enumeration).
     @raise Invalid_argument if the slice bounds are bad or the arrays have

@@ -11,7 +11,12 @@
     salted SplitMix64 stream independent of the per-node protocol streams,
     the adversary stream and the fault stream. Corruptions therefore never
     perturb sampling, and the order recipient sets are queried in cannot
-    reorder draws. *)
+    reorder draws.
+
+    Ownership: an instance carries mutable sampling scratch (a generator
+    reseeded per (round, sender) and an n-slot membership stamp), so it
+    belongs to one run on one domain. [Engine.run] instantiates one per
+    run; never share an instance across runs or domains. *)
 
 type plan =
   | Dense  (** every sender reaches every recipient — the classical plane *)
@@ -35,8 +40,20 @@ val validate : plan -> n:int -> unit
 (** [instantiate plan ~n ~seed] fixes the topology for one run. Validates. *)
 val instantiate : plan -> n:int -> seed:int64 -> t
 
+(** [degree_bound t] — an upper bound on any sender's recipient count in
+    any round: [n - 1] for [Dense], the clamped degree for [Sampled], and
+    the sender's committee plus one other for [Committees]. *)
+val degree_bound : t -> int
+
 (** [recipients t ~round ~src] — the distinct, sorted-ascending recipient
     set of [src] in [round], never containing [src] itself (self-delivery is
     the engine's job). A fresh array per call.
     @raise Invalid_argument if [round < 1] or [src] is out of range. *)
 val recipients : t -> round:int -> src:int -> int array
+
+(** [recipients_into t ~round ~src out ~pos] writes [recipients t ~round
+    ~src] into [out.(pos)] onwards and returns its length, allocating
+    nothing on the sparse sampling path. [out] needs [degree_bound t]
+    free slots from [pos].
+    @raise Invalid_argument as {!recipients}. *)
+val recipients_into : t -> round:int -> src:int -> int array -> pos:int -> int
