@@ -1,15 +1,19 @@
-(* Restricted-topology delivery (DESIGN.md §13) checked against a textbook
-   reference round loop.
+(* Engine delivery checked against a textbook reference round loop, on
+   every topology plan.
 
-   The reference below builds every inbox the plain way: per-recipient
-   [(src, payload)] lists filled in one src-ascending pass, then copied into
-   per-recipient arrays, with every delivery metered one message at a time.
-   It has no shared buffers and no batched metering. A QCheck property runs
-   it and [Engine.run] side by side over random small configurations, with
-   Byzantine senders whose payloads vary by recipient and draw from the
-   adversary's stream, and fault plans that drop, duplicate, corrupt and
-   silence, on both restricted plans. The outcome and every metrics counter
-   must agree. *)
+   The reference builds every inbox the plain way. On a restricted plan
+   (DESIGN.md §13) it fills per-recipient [(src, payload)] lists in one
+   src-ascending pass and copies them into per-recipient arrays. On the
+   dense plan it runs the per-link loop over all n - 1 peers, recipients
+   ascending then senders ascending, into a fresh n-slot array per
+   recipient read through [Plane.of_array]. Every delivery is metered one
+   message at a time; there are no shared buffers and no batched metering.
+   A QCheck property runs it and [Engine.run] side by side over random
+   small configurations, with Byzantine senders whose payloads vary by
+   recipient and draw from the adversary's stream, catalog crash attacks
+   lowered from [Strategy] genomes, and fault plans that drop, duplicate,
+   corrupt and silence. The outcome and every metrics counter must
+   agree. *)
 
 module Engine = Ba_sim.Engine
 module Faults = Ba_sim.Faults
@@ -19,6 +23,7 @@ module Protocol = Ba_sim.Protocol
 module Adversary = Ba_sim.Adversary
 module Run = Ba_sim.Run
 module Topology = Ba_sim.Topology
+module Strategy = Ba_adversary.Strategy
 module Rng = Ba_prng.Rng
 
 (* ---------------- reference round loop ---------------- *)
@@ -30,7 +35,9 @@ let reference_run ?faults ?congest_limit_bits ~topology ~max_rounds
     | Some plan when not (Faults.is_none plan) -> Some (Faults.instantiate plan ~n ~seed)
     | Some _ | None -> None
   in
-  let topo = Topology.instantiate topology ~n ~seed in
+  let topo =
+    if Topology.is_dense topology then None else Some (Topology.instantiate topology ~n ~seed)
+  in
   let node_rngs = Rng.split_n (Rng.create seed) n in
   let ctx_of v = { Protocol.n; t; me = v; rng = node_rngs.(v) } in
   let states = Array.init n (fun v -> protocol.init (ctx_of v) ~input:inputs.(v)) in
@@ -84,43 +91,63 @@ let reference_run ?faults ?congest_limit_bits ~topology ~max_rounds
           honest.(v) <- None
         end)
       action.corrupt;
-    let inboxes = Array.make n [] in
-    let send ~src ~dst raw ~byzantine =
+    let deliver ~src ~dst raw ~byzantine =
       let m =
         match faults with
         | Some inst -> Faults.deliver inst ~metrics ~round:r ~src ~dst raw
         | None -> raw
       in
-      Option.iter
-        (fun p ->
-          meter p ~byzantine;
-          inboxes.(dst) <- (src, p) :: inboxes.(dst))
-        m
+      Option.iter (fun p -> meter p ~byzantine) m;
+      m
     in
-    for v = 0 to n - 1 do
-      if corrupted.(v) then
-        Array.iter
-          (fun u -> if live u then send ~src:v ~dst:u (action.byz_msg ~src:v ~dst:u) ~byzantine:true)
-          (Topology.recipients topo ~round:r ~src:v)
-      else if live v then
-        match honest.(v) with
-        | Some p ->
-            inboxes.(v) <- (v, p) :: inboxes.(v);
+    (match topo with
+    | None ->
+        for u = 0 to n - 1 do
+          if live u then begin
+            let data = Array.make n None in
+            data.(u) <- honest.(u);
+            for v = 0 to n - 1 do
+              if v <> u then
+                let byzantine = corrupted.(v) in
+                let raw = if byzantine then action.byz_msg ~src:v ~dst:u else honest.(v) in
+                data.(v) <- deliver ~src:v ~dst:u raw ~byzantine
+            done;
+            states.(u) <-
+              protocol.recv (ctx_of u) states.(u) ~round:r
+                ~inbox:(Plane.of_array ?encode:protocol.codec data)
+          end
+        done
+    | Some topo ->
+        let inboxes = Array.make n [] in
+        let send ~src ~dst raw ~byzantine =
+          Option.iter
+            (fun p -> inboxes.(dst) <- (src, p) :: inboxes.(dst))
+            (deliver ~src ~dst raw ~byzantine)
+        in
+        for v = 0 to n - 1 do
+          if corrupted.(v) then
             Array.iter
-              (fun u -> if live u then send ~src:v ~dst:u (Some p) ~byzantine:false)
+              (fun u -> if live u then send ~src:v ~dst:u (action.byz_msg ~src:v ~dst:u) ~byzantine:true)
               (Topology.recipients topo ~round:r ~src:v)
-        | None -> ()
-    done;
-    for u = 0 to n - 1 do
-      if live u then begin
-        let entries = Array.of_list (List.rev inboxes.(u)) in
-        let srcs = Array.map fst entries in
-        let msgs = Array.map (fun (_, p) -> Some p) entries in
-        let codes = Option.map (fun enc -> Array.map (fun (_, p) -> enc p) entries) protocol.codec in
-        let inbox = Plane.sparse_slice ?codes ~n ~srcs ~msgs ~lo:0 ~hi:(Array.length srcs) () in
-        states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox
-      end
-    done;
+          else if live v then
+            match honest.(v) with
+            | Some p ->
+                inboxes.(v) <- (v, p) :: inboxes.(v);
+                Array.iter
+                  (fun u -> if live u then send ~src:v ~dst:u (Some p) ~byzantine:false)
+                  (Topology.recipients topo ~round:r ~src:v)
+            | None -> ()
+        done;
+        for u = 0 to n - 1 do
+          if live u then begin
+            let entries = Array.of_list (List.rev inboxes.(u)) in
+            let srcs = Array.map fst entries in
+            let msgs = Array.map (fun (_, p) -> Some p) entries in
+            let codes = Option.map (fun enc -> Array.map (fun (_, p) -> enc p) entries) protocol.codec in
+            let inbox = Plane.sparse_slice ?codes ~n ~srcs ~msgs ~lo:0 ~hi:(Array.length srcs) () in
+            states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox
+          end
+        done);
     for v = 0 to n - 1 do
       if live v && protocol.halted states.(v) then halted.(v) <- true
     done
@@ -228,11 +255,16 @@ let equivocator ~schedule ~seed =
 
 (* ---------------- the differential property ---------------- *)
 
+(* The test's own equivocator on a corruption schedule, or a crash-tactic
+   [Strategy] genome (the catalog's message-agnostic attacks and random
+   timing/targeting points) lowered through [Strategy.to_generic]. *)
+type attack = Equivocator of (int * int) list | Genome of Strategy.genome
+
 type config = {
   c_n : int;
   c_t : int;
   c_plan : Topology.plan;
-  c_schedule : (int * int) list;
+  c_attack : attack;
   c_drop : float;
   c_dup : float;
   c_corrupt : float;
@@ -246,14 +278,46 @@ let plan_name = function
   | Topology.Sampled { degree } -> Printf.sprintf "sampled %d" degree
   | Topology.Committees { count } -> Printf.sprintf "committees %d" count
 
+let attack_name = function
+  | Equivocator schedule ->
+      Printf.sprintf "equivocator schedule=[%s]"
+        (String.concat "; " (List.map (fun (r, v) -> Printf.sprintf "r%d:%d" r v) schedule))
+  | Genome g -> "genome " ^ Strategy.to_json g
+
 let print_config c =
-  Printf.sprintf "n=%d t=%d %s schedule=[%s] drop=%g dup=%g corrupt=%g silences=[%s] congest=%s seed=%d"
-    c.c_n c.c_t (plan_name c.c_plan)
-    (String.concat "; " (List.map (fun (r, v) -> Printf.sprintf "r%d:%d" r v) c.c_schedule))
+  Printf.sprintf "n=%d t=%d %s %s drop=%g dup=%g corrupt=%g silences=[%s] congest=%s seed=%d"
+    c.c_n c.c_t (plan_name c.c_plan) (attack_name c.c_attack)
     c.c_drop c.c_dup c.c_corrupt
     (String.concat "; " (List.map (fun (v, a, b) -> Printf.sprintf "%d@[%d,%d)" v a b) c.c_silences))
     (match c.c_congest with Some b -> string_of_int b | None -> "-")
     c.c_seed
+
+let crash_catalog ~t =
+  List.filter (fun (_, g) -> g.Strategy.g_tactic = Strategy.Crash) (Strategy.catalog ~t)
+
+let gen_genome ~n ~t =
+  let open QCheck.Gen in
+  let node = int_range 0 (n - 1) in
+  let composed =
+    let* timing =
+      oneof
+        [ return Strategy.T_never;
+          map (fun r -> Strategy.T_burst r) (int_range 1 4);
+          map2
+            (fun per_round from_round -> Strategy.T_staggered { per_round; from_round })
+            (int_range 0 3) (int_range 1 3);
+          map (fun p -> Strategy.T_random p) (oneofl [ 0.2; 0.6 ]) ]
+    and* target =
+      oneof
+        [ return Strategy.Tg_sample;
+          return Strategy.Tg_live_shuffle;
+          return Strategy.Tg_designated_shuffle;
+          map (fun vs -> Strategy.Tg_fixed vs) (list_size (int_range 0 3) node);
+          map (fun v -> Strategy.Tg_spare v) node ]
+    in
+    return { Strategy.base with g_timing = timing; g_target = target }
+  in
+  oneof [ oneofl (List.map snd (crash_catalog ~t)); composed ]
 
 let gen_config =
   let open QCheck.Gen in
@@ -261,10 +325,16 @@ let gen_config =
   let* t = int_range 1 (n - 1) in
   let* plan =
     oneof
-      [ map (fun d -> Topology.Sampled { degree = d }) (int_range 1 (n - 1));
+      [ return Topology.Dense;
+        map (fun d -> Topology.Sampled { degree = d }) (int_range 1 (n - 1));
         map (fun c -> Topology.Committees { count = c }) (int_range 1 n) ]
   in
-  let* schedule = list_size (int_range 0 4) (pair (int_range 1 6) (int_range 0 (n - 1))) in
+  let* attack =
+    frequency
+      [ (3, map (fun s -> Equivocator s)
+              (list_size (int_range 0 4) (pair (int_range 1 6) (int_range 0 (n - 1)))));
+        (1, map (fun g -> Genome g) (gen_genome ~n ~t)) ]
+  in
   let prob = oneofl [ 0.0; 0.0; 0.1; 0.3 ] in
   let* drop = prob and* dup = prob and* corrupt = prob in
   let* silences =
@@ -275,7 +345,7 @@ let gen_config =
   let* congest = opt (int_range 4 11) in
   let* seed = int_range 0 1_000_000 in
   return
-    { c_n = n; c_t = t; c_plan = plan; c_schedule = schedule; c_drop = drop; c_dup = dup;
+    { c_n = n; c_t = t; c_plan = plan; c_attack = attack; c_drop = drop; c_dup = dup;
       c_corrupt = corrupt; c_silences = silences; c_congest = congest; c_seed = seed }
 
 let mutate rng m = { m with m_val = Rng.int rng 3; m_tag = m.m_tag + 1 }
@@ -301,7 +371,11 @@ let prop_matches_reference =
       in
       let inputs = Array.init n (fun v -> (v * 7 + c.c_seed) land 1) in
       let seed = Int64.of_int c.c_seed in
-      let adversary () = equivocator ~schedule:c.c_schedule ~seed:(Int64.add seed 99L) in
+      let adversary () =
+        match c.c_attack with
+        | Equivocator schedule -> equivocator ~schedule ~seed:(Int64.add seed 99L)
+        | Genome g -> Strategy.to_generic ~rng:(Rng.create (Int64.add seed 99L)) g
+      in
       let expected =
         reference_run ~faults ?congest_limit_bits:c.c_congest ~topology:c.c_plan ~max_rounds:8
           ~protocol:digest_protocol ~adversary:(adversary ()) ~n ~t ~inputs ~seed ()
@@ -319,7 +393,10 @@ let prop_matches_reference =
       { got with metrics = expected.metrics } = expected)
 
 (* The property must see what it claims to: Byzantine traffic, every
-   fault kind and both plans. *)
+   fault kind and every plan. On the dense plan the engine has three
+   delivery cases, each checked on its own fixture: the shared plane
+   (nothing corrupted, no faults), Byzantine senders without faults, and
+   link faults without corruption. *)
 let test_property_reaches_every_path () =
   let n = 16 and t = 5 in
   let faults =
@@ -328,21 +405,48 @@ let test_property_reaches_every_path () =
       ()
   in
   let inputs = Array.init n (fun v -> v land 1) in
+  let run ?faults ~schedule plan =
+    Engine.run ~max_rounds:8 ?faults ~topology:plan ~protocol:digest_protocol
+      ~adversary:(equivocator ~schedule ~seed:5L)
+      ~n ~t ~inputs ~seed:2026L ()
+  in
+  let check label (name, v) ok =
+    Alcotest.(check bool) (Printf.sprintf "%s: %s = %d" label name v) true (ok v)
+  in
+  let positive = ( < ) 0 and zero = ( = ) 0 in
   List.iter
     (fun plan ->
-      let o =
-        Engine.run ~max_rounds:8 ~faults ~topology:plan ~protocol:digest_protocol
-          ~adversary:(equivocator ~schedule:[ (1, 3) ] ~seed:5L)
-          ~n ~t ~inputs ~seed:2026L ()
-      in
+      let o = run ~faults ~schedule:[ (1, 3) ] plan in
       let m = o.Engine.metrics in
       List.iter
-        (fun (label, v) ->
-          Alcotest.(check bool) (Printf.sprintf "%s: %s > 0" (plan_name plan) label) true (v > 0))
+        (fun kv -> check (plan_name plan) kv positive)
         [ ("byzantine", Metrics.byzantine_messages m); ("drops", Metrics.link_drops m);
           ("duplicates", Metrics.link_duplicates m); ("corruptions", Metrics.link_corruptions m);
           ("silences", Metrics.crash_silences m); ("corrupted", o.corruptions_used) ])
-    [ Topology.Sampled { degree = 4 }; Topology.Committees { count = 3 } ]
+    [ Topology.Dense; Topology.Sampled { degree = 4 }; Topology.Committees { count = 3 } ];
+  (* dense shared plane: the equivocator corrupts nobody before round 2 *)
+  let shared = Engine.run ~max_rounds:1 ~protocol:digest_protocol
+      ~adversary:(equivocator ~schedule:[] ~seed:5L) ~n ~t ~inputs ~seed:2026L ()
+  in
+  List.iter
+    (fun (kv, ok) -> check "dense shared" kv ok)
+    [ (("messages", Metrics.messages shared.metrics), positive);
+      (("byzantine", Metrics.byzantine_messages shared.metrics), zero);
+      (("corrupted", shared.corruptions_used), zero) ];
+  let byz = run ~schedule:[ (1, 3) ] Topology.Dense in
+  List.iter
+    (fun (kv, ok) -> check "dense Byzantine" kv ok)
+    [ (("byzantine", Metrics.byzantine_messages byz.metrics), positive);
+      (("fault events", Metrics.fault_events byz.metrics), zero) ];
+  let faulty = Engine.run ~max_rounds:8 ~faults ~protocol:digest_protocol
+      ~adversary:Adversary.silent ~n ~t ~inputs ~seed:2026L ()
+  in
+  List.iter
+    (fun (kv, ok) -> check "dense faults" kv ok)
+    [ (("drops", Metrics.link_drops faulty.metrics), positive);
+      (("duplicates", Metrics.link_duplicates faulty.metrics), positive);
+      (("corruptions", Metrics.link_corruptions faulty.metrics), positive);
+      (("corrupted", faulty.corruptions_used), zero) ]
 
 let () =
   Alcotest.run "ba_restricted"
