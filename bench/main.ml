@@ -47,12 +47,7 @@ let make_micro_tests () =
            let x = Ba_core.Common_coin.honest_sum rng ~flippers:4096 in
            Ba_core.Common_coin.commons ~flippers:4096 ~sum:x ~budget:32))
   in
-  let engine_of adversary name =
-    let n = 64 and t = 21 in
-    let run =
-      Ba_experiments.Setups.make ~protocol:(Ba_experiments.Setups.Las_vegas { alpha = 2.0 })
-        ~adversary ~n ~t
-    in
+  let engine_run (run : Ba_experiments.Setups.run) name ~n ~t =
     let inputs = Ba_experiments.Setups.inputs Ba_experiments.Setups.Split ~n ~t in
     let seed = ref 0L in
     Test.make ~name
@@ -60,9 +55,28 @@ let make_micro_tests () =
            seed := Int64.add !seed 1L;
            (run.exec ~record:false ~inputs ~seed:!seed ()).Ba_sim.Engine.rounds))
   in
+  let las_vegas = Ba_experiments.Setups.Las_vegas { alpha = 2.0 } in
+  let engine_of adversary name =
+    let n = 64 and t = 21 in
+    engine_run (Ba_experiments.Setups.make ~protocol:las_vegas ~adversary ~n ~t) name ~n ~t
+  in
   let engine_silent = engine_of Ba_experiments.Setups.Silent "engine/alg3-n64-silent" in
+  (* The dense arm's two patched-plane cases: Byzantine senders (the
+     committee killer) and link faults (E18's p=0.05+dup arm: drop and
+     duplicate 5%, a static crash capped at the budget left after the
+     expected fault-touched senders). *)
   let engine_killer =
     engine_of Ba_experiments.Setups.Committee_killer "engine/alg3-n64-killer"
+  in
+  let engine_faults =
+    let n = 40 in
+    let t = Ba_core.Params.max_tolerated n in
+    let faults = { Ba_experiments.Setups.no_faults with fs_drop = 0.05; fs_duplicate = 0.05 } in
+    let limit = t - int_of_float (ceil (0.05 *. float_of_int n)) in
+    engine_run
+      (Ba_experiments.Setups.make_capped ~faults ~limit ~protocol:las_vegas
+         ~adversary:Ba_experiments.Setups.Static_crash ~n ~t)
+      "engine/alg3-n40-faults" ~n ~t
   in
   (* The perf gate's headline metric: eight benign all-to-all broadcast
      rounds of Algorithm 3 at n=256 — the O(n^2)-deliveries hot path every
@@ -165,8 +179,9 @@ let make_micro_tests () =
            (run.exec ~max_rounds:1 ~record:false ~inputs:(Lazy.force inputs) ~seed:!seed ())
              .Ba_sim.Engine.rounds))
   in
-  [ calibration; prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer; engine_round;
-    engine_async_step; engine_async_step_batched; engine_async_round; model; sparse_round ]
+  [ calibration; prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer;
+    engine_faults; engine_round; engine_async_step; engine_async_step_batched; engine_async_round;
+    model; sparse_round ]
 
 (* Returns the measured (name, ns/call) pairs, sorted by name. *)
 let run_micro ~quota_ms =

@@ -28,22 +28,18 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
     ?trace ~(protocol : ('state, 'msg) Protocol.t) ~(adversary : ('state, 'msg) Adversary.t) ~n ~t
     ~inputs ~seed () =
   validate ~n ~t ~inputs;
-  let max_rounds =
-    match max_rounds with Some m -> m | None -> Protocol.default_round_cap ~n
-  in
+  let max_rounds = Option.value max_rounds ~default:(Protocol.default_round_cap ~n) in
   let faults =
     match faults with
     | Some plan when not (Faults.is_none plan) -> Some (Faults.instantiate plan ~n ~seed)
     | Some _ | None -> None
   in
-  (* The dense plan keeps the historical broadcast path bit-for-bit; a
-     restricted plan (sampled / committee links) routes delivery through
+  (* A restricted plan (sampled / committee links) routes delivery through
      per-recipient sparse plane slices (DESIGN.md §13). *)
   let topo =
     if Topology.is_dense topology then None else Some (Topology.instantiate topology ~n ~seed)
   in
-  let master = Ba_prng.Rng.create seed in
-  let node_rngs = Ba_prng.Rng.split_n master n in
+  let node_rngs = Ba_prng.Rng.split_n (Ba_prng.Rng.create seed) n in
   let ctx_of v = { Protocol.n; t; me = v; rng = node_rngs.(v) } in
   let states = Array.init n (fun v -> protocol.init (ctx_of v) ~input:inputs.(v)) in
   let corrupted = Array.make n false in
@@ -57,10 +53,23 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
     | Some limit when bits > limit -> Metrics.record_congest_violation metrics
     | Some _ | None -> ()
   in
-  let records = ref [] in
-  let codec = protocol.codec in
-  (* One packed-code slab for the whole run, repacked in place each benign
-     broadcast round (DESIGN.md section 10). *)
+  let faulted ~round ~src ~dst m =
+    match faults with Some inst -> Faults.deliver inst ~metrics ~round ~src ~dst m | None -> m
+  in
+  (* [copies] unchanged deliveries of one honest broadcast, metered at once *)
+  let meter_copies payload ~copies =
+    if copies > 0 then begin
+      let bits = protocol.msg_bits payload in
+      Metrics.record_broadcast metrics ~bits ~words:(protocol.msg_words payload) ~copies
+        ~byzantine:false;
+      match congest_limit_bits with
+      | Some limit when bits > limit -> Metrics.record_congest_violations metrics copies
+      | Some _ | None -> ()
+    end
+  in
+  let records = ref [] and codec = protocol.codec in
+  (* One packed-code slab for the whole run, repacked in place each dense
+     round (DESIGN.md section 10). *)
   let slab = Array.make (max n 1) Plane.absent in
   (* A restricted plan delivers through one CSR inbox slab per run
      (DESIGN.md section 13), sized once from the plan's out-degree bound:
@@ -77,14 +86,28 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
   let inbox_srcs = Array.make cap 0 in
   let inbox_msgs = Array.make cap None in
   let inbox_codes = if cap > 0 && Option.is_some codec then Some (Array.make cap Plane.absent) else None in
-  let live v = (not corrupted.(v)) && not halted.(v) in
-  let all_honest_halted () =
-    let stop = ref true in
-    for v = 0 to n - 1 do
-      if live v then stop := false
-    done;
-    !stop
+  (* Dense plan: a recipient's patch of the slots where its inbox differs
+     from the round's shared plane (DESIGN.md section 10), the senders whose
+     links can differ, and [edited.(v)], [v]'s count of fault-edited links. *)
+  let patch_cap = if Option.is_none topo && (t > 0 || Option.is_some faults) then n else 0 in
+  let patch_slots = Array.make patch_cap 0 in
+  let patch_msgs = Array.make patch_cap None in
+  let patch_codes = Option.map (fun _ -> Array.make patch_cap Plane.absent) codec in
+  let patch_len = ref 0 in
+  let patch v m ~byzantine =
+    (match m with Some p -> meter p ~byzantine | None -> ());
+    patch_slots.(!patch_len) <- v;
+    patch_msgs.(!patch_len) <- m;
+    (match (patch_codes, codec) with
+    | Some cs, Some enc -> cs.(!patch_len) <- Option.fold ~none:Plane.absent ~some:enc m
+    | (Some _ | None), _ -> ());
+    incr patch_len
   in
+  let patch_srcs = Array.make patch_cap 0 in
+  let edited = Array.make (if Option.is_none topo then n else 0) 0 in
+  let live v = (not corrupted.(v)) && not halted.(v) in
+  let rec halted_from v = v >= n || ((not (live v)) && halted_from (v + 1)) in
+  let all_honest_halted () = halted_from 0 in
   let round = ref 0 in
   let completed = ref (all_honest_halted ()) in
   let emit e = match trace with Some f -> f e | None -> () in
@@ -138,24 +161,14 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
           honest_msgs.(v) <- None
         end)
       action.corrupt;
-    (* 4. Delivery + 5. recv for each live honest node. Under a restricted
-       topology, delivery routes through sparse plane slices of the CSR
-       inbox slab (first arm below; DESIGN.md §13). On the dense plan, two modes, both
-       observably identical to per-link delivery (same metrics, same RNG
-       draw order — the determinism proof obligation of DESIGN.md §10):
-
-       - benign broadcast (no fault instance, no corrupted node): every
-         live recipient's inbox is the same array, so one shared plane is
-         packed once and every recv reads it;
-       - Byzantine senders or link faults: the exact per-link loop on a
-         per-recipient copy of the honest slab (recipients ascending, then
-         senders ascending): [byz_msg] for a corrupted sender, then
-         [Faults.deliver] when the run has a fault instance, then
-         metering, as index-level edits on the copy.
-
-       Each recv reads and writes only its own node's state, and the view
-       holds its own arrays, so states are stepped in place. Corruptions
-       never revert, so the budget counter is the corrupted-set size. *)
+    (* 4. Delivery + 5. recv for each live honest node. A restricted topology
+       delivers through sparse slices of the CSR inbox slab (DESIGN.md §13).
+       The dense plan packs the honest broadcasts into one shared plane; a
+       recipient whose inbox differs reads a patched view of the differing
+       slots ([byz_msg] payloads, its [Faults.deliver_edit] edits, drawn
+       recipients then senders ascending; DESIGN.md §10). Honest copies left
+       unchanged are metered per sender, patched links one by one. A recv
+       touches only its own node's state, so states are stepped in place. *)
     (match (topo, faults) with
     | Some ti, _ ->
         (* Restricted topology, pass 1, senders ascending: sampling,
@@ -177,11 +190,7 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
           keep u
         in
         let link ~src ~dst raw ~byzantine =
-          let m =
-            match faults with
-            | None -> raw
-            | Some inst -> Faults.deliver inst ~metrics ~round:r ~src ~dst raw
-          in
+          let m = faulted ~round:r ~src ~dst raw in
           match m with
           | Some p ->
               meter p ~byzantine;
@@ -211,16 +220,7 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
                     for i = first to last do
                       if live edge_dst.(i) then keep edge_dst.(i)
                     done;
-                    let copies = !e - first in
-                    if copies > 0 then begin
-                      let bits = protocol.msg_bits p in
-                      Metrics.record_broadcast metrics ~bits ~words:(protocol.msg_words p)
-                        ~copies ~byzantine:false;
-                      match congest_limit_bits with
-                      | Some limit when bits > limit ->
-                          Metrics.record_congest_violations metrics copies
-                      | Some _ | None -> ()
-                    end
+                    meter_copies p ~copies:(!e - first)
                 | Some _ ->
                     keep_owned v honest_msgs.(v);
                     for i = first to last do
@@ -276,56 +276,56 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
                      ~lo:!lo ~hi ());
           lo := hi
         done
-    | None, None when !corruptions_used = 0 ->
-        let live_recipients = ref 0 in
+    | None, _ ->
+        let live_recipients = ref 0 and srcs = ref 0 in
+        let patching = !corruptions_used > 0 || Option.is_some faults in
         for v = 0 to n - 1 do
-          if live v then incr live_recipients
+          if live v then incr live_recipients;
+          if patching && (corrupted.(v) || Option.is_some faults) then begin
+            patch_srcs.(!srcs) <- v;
+            incr srcs
+          end
+        done;
+        if Option.is_some faults then Array.fill edited 0 n 0;
+        let plane = Plane.shared ?encode:codec ~slab honest_msgs in
+        for u = 0 to n - 1 do
+          if live u then begin
+            patch_len := 0;
+            for i = 0 to !srcs - 1 do
+              (* a corrupted [v] is never [u]; [deliver_edit] keeps self-links *)
+              let v = patch_srcs.(i) in
+              if corrupted.(v) then begin
+                let m = faulted ~round:r ~src:v ~dst:u (action.byz_msg ~src:v ~dst:u) in
+                if Option.is_some m then patch v m ~byzantine:true
+              end
+              else
+                match faults with
+                | Some inst -> (
+                    let honest = honest_msgs.(v) in
+                    match Faults.deliver_edit inst ~metrics ~round:r ~src:v ~dst:u honest with
+                    | Faults.Kept -> ()
+                    | Faults.Dropped | Faults.Replaced ->
+                        edited.(v) <- edited.(v) + 1;
+                        patch v (Faults.replacement inst) ~byzantine:false)
+                | None -> ()
+            done;
+            let inbox =
+              if !patch_len = 0 then plane
+              else
+                Plane.patched ?codes:patch_codes plane ~slots:patch_slots ~msgs:patch_msgs
+                  ~len:!patch_len
+            in
+            states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox
+          end
         done;
         for v = 0 to n - 1 do
           match honest_msgs.(v) with
-          | Some payload ->
-              let copies = !live_recipients - if live v then 1 else 0 in
-              if copies > 0 then begin
-                let bits = protocol.msg_bits payload in
-                Metrics.record_broadcast metrics ~bits ~words:(protocol.msg_words payload) ~copies
-                  ~byzantine:false;
-                match congest_limit_bits with
-                | Some limit when bits > limit ->
-                    Metrics.record_congest_violations metrics copies
-                | Some _ | None -> ()
-              end
+          | Some p ->
+              meter_copies p ~copies:(!live_recipients - (if live v then 1 else 0) - edited.(v))
           | None -> ()
-        done;
-        let plane = Plane.shared ?encode:codec ~slab honest_msgs in
-        for u = 0 to n - 1 do
-          if live u then
-            states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:plane
-        done
-    | None, _ ->
-        for u = 0 to n - 1 do
-          if live u then begin
-            let data = Array.copy honest_msgs in
-            for v = 0 to n - 1 do
-              if v <> u then begin
-                let byzantine = corrupted.(v) in
-                let raw = if byzantine then action.byz_msg ~src:v ~dst:u else data.(v) in
-                (* Benign link faults apply to honest and Byzantine payloads
-                   alike; self-delivery is exempt (a node always hears itself
-                   unless silenced above). Slots are written only when they
-                   change: each write to the boxed array is a barrier call. *)
-                (match faults with
-                | Some inst -> data.(v) <- Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u raw
-                | None -> if byzantine then data.(v) <- raw);
-                match data.(v) with Some payload -> meter payload ~byzantine | None -> ()
-              end
-            done;
-            states.(u) <-
-              protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(Plane.of_array ?encode:codec data)
-          end
         done);
     for v = 0 to n - 1 do
-      if (not corrupted.(v)) && (not halted.(v)) && protocol.halted states.(v) then
-        halted.(v) <- true
+      if live v && protocol.halted states.(v) then halted.(v) <- true
     done;
     if record then begin
       let rr_views =

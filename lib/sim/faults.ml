@@ -34,10 +34,16 @@ let make ?(drop = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0) ?mutate ?(silences = 
 type 'msg instance = {
   plan : 'msg plan;
   rng : Ba_prng.Rng.t;
-  (* [pending.(src).(dst) = Some (r, m)]: a duplicate of [m] queued in round
-     [r], re-delivered in round [r + 1] iff the link is otherwise idle.
-     Allocated only when the plan can duplicate. *)
-  pending : (int * 'msg) option array array option;
+  n : int;
+  (* [pending.(src * n + dst) = Some m]: a duplicate of [m] queued in round
+     [pending_round.(src * n + dst)], re-delivered in the next round iff the
+     link is otherwise idle. Both are empty when the plan cannot duplicate.
+     The slot holds the delivered option itself, so queueing allocates
+     nothing. *)
+  pending : 'msg option array;
+  pending_round : int array;
+  (* what the last edited link delivered (see [replacement]) *)
+  mutable swapped : 'msg option;
 }
 
 (* The fault stream is salted so it is independent of the per-node protocol
@@ -51,10 +57,13 @@ let instantiate plan ~n ~seed =
       if s.s_node >= n then
         invalid_arg (Printf.sprintf "Faults.instantiate: silence node %d >= n=%d" s.s_node n))
     plan.silences;
+  let links = if plan.duplicate > 0.0 then n * n else 0 in
   { plan;
     rng = Ba_prng.Rng.create (Ba_prng.Splitmix64.mix (Int64.add seed fault_salt));
-    pending =
-      (if plan.duplicate > 0.0 then Some (Array.init n (fun _ -> Array.make n None)) else None) }
+    n;
+    pending = Array.make links None;
+    pending_round = Array.make links 0;
+    swapped = None }
 
 let silenced inst ~node ~round =
   List.exists
@@ -66,64 +75,87 @@ let silenced_in_round plan ~round =
     (fun acc s -> if round >= s.s_from && round < s.s_until then acc + 1 else acc)
     0 plan.silences
 
+type edit = Kept | Dropped | Replaced
+
 type 'msg delivery = { d_payload : 'msg option; d_mutated : bool; d_duplicate : bool }
+
+(* Flag bits of one draw's outcome. *)
+let dropped = 1
+let mutated = 2
+let duplicated = 4
 
 (* The one fault-draw sequence for a non-self link: drop, then corrupt,
    then duplicate, from the salted stream. Drops and corruptions are
-   metered here; what a duplicate means (and when it is metered) is the
-   caller's. *)
+   metered here, and a mutated payload is left in [swapped]; what a
+   duplicate means (and when it is metered) is the caller's. *)
 let draw inst ~metrics m =
   let p = inst.plan in
   if p.drop > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.drop then begin
     Metrics.record_link_drop metrics;
-    { d_payload = None; d_mutated = false; d_duplicate = false }
+    dropped
   end
   else begin
-    let m, mutated =
+    let flags =
       if p.corrupt > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.corrupt then (
         match p.mutate with
         | Some f ->
             Metrics.record_link_corruption metrics;
-            (f inst.rng m, true)
-        | None -> (m, false))
-      else (m, false)
+            inst.swapped <- Some (f inst.rng m);
+            mutated
+        | None -> 0)
+      else 0
     in
-    let duplicate = p.duplicate > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.duplicate in
-    { d_payload = Some m; d_mutated = mutated; d_duplicate = duplicate }
+    if p.duplicate > 0.0 && Ba_prng.Rng.bernoulli inst.rng p.duplicate then flags lor duplicated
+    else flags
   end
 
-let deliver inst ~metrics ~round ~src ~dst payload =
-  if src = dst then payload
+let deliver_edit inst ~metrics ~round ~src ~dst payload =
+  if src = dst then Kept
   else begin
+    let k = (src * inst.n) + dst in
     let stale =
-      match inst.pending with
-      | None -> None
-      | Some buf -> (
-          match buf.(src).(dst) with
-          | Some (r, m) ->
-              buf.(src).(dst) <- None;
-              if r + 1 = round then Some m else None
-          | None -> None)
+      if Array.length inst.pending = 0 then None
+      else
+        match inst.pending.(k) with
+        | None -> None
+        | Some _ as m ->
+            inst.pending.(k) <- None;
+            if inst.pending_round.(k) + 1 = round then m else None
     in
-    let fresh =
+    let edit =
       match payload with
-      | None -> None
+      | None -> Kept
       | Some m ->
           let d = draw inst ~metrics m in
-          (* A drawn duplicate is re-delivered next round iff the link is
-             then idle; it is metered only if that happens. *)
-          (match (d.d_payload, inst.pending) with
-          | Some m, Some buf when d.d_duplicate -> buf.(src).(dst) <- Some (round, m)
-          | (Some _ | None), _ -> ());
-          d.d_payload
+          if d land dropped <> 0 then begin
+            inst.swapped <- None;
+            Dropped
+          end
+          else begin
+            (* A drawn duplicate is re-delivered next round iff the link is
+               then idle; it is metered only if that happens. *)
+            if d land duplicated <> 0 then begin
+              inst.pending.(k) <- (if d land mutated <> 0 then inst.swapped else payload);
+              inst.pending_round.(k) <- round
+            end;
+            if d land mutated <> 0 then Replaced else Kept
+          end
     in
-    match (fresh, stale) with
-    | (Some _ as m), _ -> m
-    | None, Some m ->
-        Metrics.record_link_duplicate metrics;
-        Some m
-    | None, None -> None
+    let idle = match edit with Dropped -> true | Kept | Replaced -> Option.is_none payload in
+    if idle && Option.is_some stale then begin
+      Metrics.record_link_duplicate metrics;
+      inst.swapped <- stale;
+      Replaced
+    end
+    else edit
   end
+
+let replacement inst = inst.swapped
+
+let deliver inst ~metrics ~round ~src ~dst payload =
+  match deliver_edit inst ~metrics ~round ~src ~dst payload with
+  | Kept -> payload
+  | Dropped | Replaced -> inst.swapped
 
 (* Async plane application: same plan, same salted stream and draws, but
    no round structure — the duplicate buffer does not apply. A duplicate is
@@ -134,6 +166,12 @@ let apply_async inst ~metrics ~src ~dst payload =
   if src = dst then { d_payload = Some payload; d_mutated = false; d_duplicate = false }
   else begin
     let d = draw inst ~metrics payload in
-    if d.d_duplicate then Metrics.record_link_duplicate metrics;
-    d
+    let duplicate = d land duplicated <> 0 in
+    if duplicate then Metrics.record_link_duplicate metrics;
+    { d_payload =
+        (if d land dropped <> 0 then None
+         else if d land mutated <> 0 then inst.swapped
+         else Some payload);
+      d_mutated = d land mutated <> 0;
+      d_duplicate = duplicate }
   end

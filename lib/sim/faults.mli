@@ -75,10 +75,30 @@ val silenced : _ instance -> node:int -> round:int -> bool
     [round] (for budget accounting in experiments). *)
 val silenced_in_round : _ plan -> round:int -> int
 
-(** [deliver inst ~metrics ~round ~src ~dst payload] — push one link's
-    payload through the fault model, metering every injected event. Must be
-    called in a deterministic link order (the engine iterates receivers then
-    senders) so the PRNG stream is reproducible. *)
+(** What one link did to a payload (see {!deliver_edit}). *)
+type edit =
+  | Kept  (** the payload arrives as sent ([None] stays [None]) *)
+  | Dropped  (** the sent payload is lost, and no stale duplicate replaces it *)
+  | Replaced
+      (** a different payload arrives: a mutated copy, or a stale duplicate
+          on an otherwise idle link; read it with {!replacement} *)
+
+(** [deliver_edit inst ~metrics ~round ~src ~dst payload] — push one link's
+    payload through the fault model, metering every injected event, and
+    report the edit. Allocates nothing unless the payload is mutated. Must
+    be called in a deterministic link order (the engine iterates receivers
+    then senders) so the PRNG stream is reproducible. Self-delivery is
+    always [Kept]. *)
+val deliver_edit :
+  'msg instance -> metrics:Metrics.t -> round:int -> src:int -> dst:int -> 'msg option -> edit
+
+(** [replacement inst] — what the last {!deliver_edit} that did not return
+    [Kept] delivered: [None] after [Dropped]. *)
+val replacement : 'msg instance -> 'msg option
+
+(** [deliver inst ~metrics ~round ~src ~dst payload] — {!deliver_edit} as
+    the delivered payload: [payload] itself when [Kept], else
+    {!replacement}. *)
 val deliver :
   'msg instance ->
   metrics:Metrics.t ->

@@ -1,16 +1,19 @@
 (* Batched message plane (DESIGN.md sections 10 and 13).
 
-   One round's deliveries, as seen by a recipient. Three representations:
+   One round's deliveries, as seen by a recipient. Four representations:
 
-   - shared (flat): in a benign dense broadcast round every live recipient
-     sees the same inbox, so the engine hands all of them one plane over the
-     honest broadcast slab, with payloads packed into a reusable int-code
-     array and aggregation results memoized — the round costs O(n) instead
-     of O(n^2) for protocols whose recv is a tally;
-   - solo (flat): dense rounds touched by Byzantine senders or link faults
-     get a per-recipient plane over a patched copy of the slab (codes
-     derived on the fly, nothing shared), reproducing per-link semantics
-     exactly;
+   - shared (flat): every dense round packs the honest broadcast slab once
+     into a reusable int-code array and memoizes aggregation results, so a
+     round whose recipients all see that slab costs O(n) instead of O(n^2)
+     for protocols whose recv is a tally;
+   - solo (flat): [of_array] over a caller-owned array, codes derived on
+     the fly, nothing memoized;
+   - patched: a recipient whose inbox differs from the shared slab at a
+     few slots (Byzantine payloads, link-fault edits) reads the shared
+     plane through its own sorted patch. Tallies take the base's memoized
+     answer and correct it at the patched slots, so a round with t
+     Byzantine senders costs O(n + t n), not O(n^2). The base memo only
+     ever stores unpatched answers;
    - sparse slice: under a restricted Topology a recipient's inbox is the
      short list of senders whose sampled recipient set contained it. The
      slice stores (sorted source ids, packed codes, boxed payloads) for just
@@ -69,8 +72,15 @@ type 'msg repr =
       sp_lo : int;
       sp_hi : int;
     }
+  | Patched of {
+      pt_base : 'msg t; (* a flat plane, memoized when shared *)
+      pt_slots : int array; (* patched slot ids, strictly ascending in [0, pt_len) *)
+      pt_msgs : 'msg option array; (* in step with pt_slots *)
+      pt_codes : int array option; (* in step with pt_slots; None without codec *)
+      pt_len : int;
+    }
 
-type 'msg t = { p_repr : 'msg repr; mutable p_cache : cache_entry list }
+and 'msg t = { p_repr : 'msg repr; mutable p_cache : cache_entry list }
 
 let of_array ?encode data =
   { p_repr = Flat { f_data = data; f_codes = None; f_encode = encode }; p_cache = [] }
@@ -101,42 +111,79 @@ let sparse_slice ?codes ~n ~srcs ~msgs ~lo ~hi () =
   { p_repr = Sparse { sp_n = n; sp_srcs = srcs; sp_codes = codes; sp_msgs = msgs; sp_lo = lo; sp_hi = hi };
     p_cache = [] }
 
+let patched ?codes base ~slots ~msgs ~len =
+  (match base.p_repr with
+  | Flat _ -> ()
+  | Sparse _ | Patched _ -> invalid_arg "Plane.patched: base must be a flat plane");
+  if len < 0 || len > Array.length slots || len > Array.length msgs then
+    invalid_arg "Plane.patched: len exceeds the patch buffers";
+  (match codes with
+  | Some cs when Array.length cs < len -> invalid_arg "Plane.patched: len exceeds codes"
+  | Some _ | None -> ());
+  { p_repr =
+      Patched { pt_base = base; pt_slots = slots; pt_msgs = msgs; pt_codes = codes; pt_len = len };
+    p_cache = [] }
+
 let shard_view t = { t with p_cache = [] }
 
-let length t =
-  match t.p_repr with Flat f -> Array.length f.f_data | Sparse s -> s.sp_n
+(* Binary search: the index of [v] in the ascending [ids.(lo .. hi-1)], or
+   -1. *)
+let find_sorted ids ~lo ~hi v =
+  let lo = ref lo and hi = ref hi and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = ids.(mid) in
+    if x = v then found := mid else if x < v then lo := mid + 1 else hi := mid
+  done;
+  !found
 
-let get t v =
+let rec length t =
+  match t.p_repr with
+  | Flat f -> Array.length f.f_data
+  | Sparse s -> s.sp_n
+  | Patched p -> length p.pt_base
+
+let rec get t v =
   match t.p_repr with
   | Flat f -> f.f_data.(v)
+  | Patched p ->
+      let k = find_sorted p.pt_slots ~lo:0 ~hi:p.pt_len v in
+      if k >= 0 then p.pt_msgs.(k) else get p.pt_base v
   | Sparse s ->
-      (* binary search over the sorted source slice *)
-      let lo = ref s.sp_lo and hi = ref s.sp_hi in
-      let found = ref None in
-      while !found = None && !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        let x = s.sp_srcs.(mid) in
-        if x = v then found := Some s.sp_msgs.(mid)
-        else if x < v then lo := mid + 1
-        else hi := mid
-      done;
-      (match !found with Some m -> m | None -> None)
+      let k = find_sorted s.sp_srcs ~lo:s.sp_lo ~hi:s.sp_hi v in
+      if k >= 0 then s.sp_msgs.(k) else None
 
-let iteri f t =
+let rec iteri f t =
   match t.p_repr with
   | Flat fl -> Array.iteri f fl.f_data
   | Sparse s ->
       for k = s.sp_lo to s.sp_hi - 1 do
         f s.sp_srcs.(k) s.sp_msgs.(k)
       done
+  | Patched p ->
+      let k = ref 0 in
+      iteri
+        (fun v m ->
+          if !k < p.pt_len && p.pt_slots.(!k) = v then begin
+            f v p.pt_msgs.(!k);
+            incr k
+          end
+          else f v m)
+        p.pt_base
 
-let to_array t =
+let rec to_array t =
   match t.p_repr with
   | Flat f -> Array.copy f.f_data
   | Sparse s ->
       let out = Array.make s.sp_n None in
       for k = s.sp_lo to s.sp_hi - 1 do
         out.(s.sp_srcs.(k)) <- s.sp_msgs.(k)
+      done;
+      out
+  | Patched p ->
+      let out = to_array p.pt_base in
+      for k = 0 to p.pt_len - 1 do
+        out.(p.pt_slots.(k)) <- p.pt_msgs.(k)
       done;
       out
 
@@ -150,9 +197,9 @@ let flat_code f i =
           match f_encode with
           | Some enc -> enc m
           | None -> invalid_arg "Plane: tally kernel on a plane without a codec"))
-  | Sparse _ -> assert false
+  | Sparse _ | Patched _ -> assert false
 
-let sparse_codes = function
+let packed_codes = function
   | Some codes -> codes
   | None -> invalid_arg "Plane: tally kernel on a plane without a codec"
 
@@ -163,9 +210,9 @@ let find_cache t ~kind ~phase ~sub ~flag =
 
 let memoize t ~kind ~phase ~sub ~flag compute =
   match t.p_repr with
-  | Flat { f_codes = None; _ } | Sparse _ ->
-      (* solo plane / per-recipient slice: consumed by one recv, nothing to
-         share *)
+  | Flat { f_codes = None; _ } | Sparse _ | Patched _ ->
+      (* solo plane / per-recipient slice or patch: consumed by one recv,
+         nothing to share *)
       compute ()
   | Flat { f_codes = Some _; _ } -> (
       match find_cache t ~kind ~phase ~sub ~flag with
@@ -192,16 +239,48 @@ let vote_counts_scan t ~phase ~sub ~decided_only =
         count (flat_code (Flat f) i)
       done
   | Sparse s ->
-      let codes = sparse_codes s.sp_codes in
+      let codes = packed_codes s.sp_codes in
       for k = s.sp_lo to s.sp_hi - 1 do
         count codes.(k)
-      done);
+      done
+  | Patched _ -> assert false);
   (!c0, !c1)
 
-let vote_counts t ~phase ~sub ~decided_only =
-  memoize t ~kind:0 ~phase ~sub
-    ~flag:(if decided_only then 1 else 0)
-    (fun () -> vote_counts_scan t ~phase ~sub ~decided_only)
+(* What one code adds to a patch correction: the vote it counts (0 or 1,
+   else -1) and the flip it sums. The scans above inline the same tests in
+   their per-slot loops. *)
+let vote_of c ~phase ~sub ~decided_only =
+  if c >= 0 && c lsr 7 = phase && (c lsr 3) land 3 = sub then
+    let v = c land 3 in
+    if v < 2 && ((not decided_only) || (c lsr 2) land 1 = 1) then v else -1
+  else -1
+
+let flip_of c ~phase ~sub =
+  if c >= 0 && c lsr 7 = phase && (c lsr 3) land 3 = sub then
+    match (c lsr 5) land 3 with 1 -> 1 | 2 -> -1 | _ -> 0
+  else 0
+
+let rec vote_counts t ~phase ~sub ~decided_only =
+  match t.p_repr with
+  | Patched p ->
+      let c0, c1 = vote_counts p.pt_base ~phase ~sub ~decided_only in
+      let codes = packed_codes p.pt_codes in
+      let c0 = ref c0 and c1 = ref c1 in
+      for k = 0 to p.pt_len - 1 do
+        (match vote_of (flat_code p.pt_base.p_repr p.pt_slots.(k)) ~phase ~sub ~decided_only with
+        | 0 -> decr c0
+        | 1 -> decr c1
+        | _ -> ());
+        match vote_of codes.(k) ~phase ~sub ~decided_only with
+        | 0 -> incr c0
+        | 1 -> incr c1
+        | _ -> ()
+      done;
+      (!c0, !c1)
+  | Flat _ | Sparse _ ->
+      memoize t ~kind:0 ~phase ~sub
+        ~flag:(if decided_only then 1 else 0)
+        (fun () -> vote_counts_scan t ~phase ~sub ~decided_only)
 
 let signed_sum_scan t ~phase ~sub ~members =
   let sum = ref 0 in
@@ -215,14 +294,26 @@ let signed_sum_scan t ~phase ~sub ~members =
         if members i then add (flat_code (Flat f) i)
       done
   | Sparse s ->
-      let codes = sparse_codes s.sp_codes in
+      let codes = packed_codes s.sp_codes in
       for k = s.sp_lo to s.sp_hi - 1 do
         if members s.sp_srcs.(k) then add codes.(k)
-      done);
+      done
+  | Patched _ -> assert false);
   !sum
 
-let signed_sum t ~phase ~sub ~members =
-  let sum, _ =
-    memoize t ~kind:1 ~phase ~sub ~flag:0 (fun () -> (signed_sum_scan t ~phase ~sub ~members, 0))
-  in
-  sum
+let rec signed_sum t ~phase ~sub ~members =
+  match t.p_repr with
+  | Patched p ->
+      let codes = packed_codes p.pt_codes in
+      let sum = ref (signed_sum p.pt_base ~phase ~sub ~members) in
+      for k = 0 to p.pt_len - 1 do
+        let v = p.pt_slots.(k) in
+        if members v then
+          sum := !sum - flip_of (flat_code p.pt_base.p_repr v) ~phase ~sub + flip_of codes.(k) ~phase ~sub
+      done;
+      !sum
+  | Flat _ | Sparse _ ->
+      let sum, _ =
+        memoize t ~kind:1 ~phase ~sub ~flag:0 (fun () -> (signed_sum_scan t ~phase ~sub ~members, 0))
+      in
+      sum

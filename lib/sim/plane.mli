@@ -1,15 +1,18 @@
 (** Batched message plane: one round's deliveries as seen by a recipient
     (DESIGN.md section 10).
 
-    In a benign broadcast round every live recipient's inbox is identical,
-    so the engine builds a single {e shared} plane over the honest broadcast
-    slab: payloads are packed once into a reusable flat [int] code array and
-    the dominant aggregations ({!vote_counts}, {!signed_sum}) are memoized
-    across recipients — an all-to-all round costs O(n) instead of O(n^2)
-    for tally-style protocols. Rounds touched by Byzantine senders or link
-    faults fall back to per-recipient {e solo} planes over patched copies of
-    the slab, preserving per-link delivery semantics (and RNG draw order)
-    exactly.
+    Each dense round the engine builds a single {e shared} plane over the
+    honest broadcast slab: payloads are packed once into a reusable flat
+    [int] code array and the dominant aggregations ({!vote_counts},
+    {!signed_sum}) are memoized across recipients. In a benign round every
+    live recipient reads that plane itself, so an all-to-all round costs
+    O(n) instead of O(n^2) for tally-style protocols. A recipient whose
+    inbox differs at a few slots (Byzantine payloads, link-fault edits)
+    reads a {e patched} view of it instead: the shared plane plus a sorted
+    per-recipient patch, with tallies taken from the shared memo and
+    corrected at the patched slots. A round with t Byzantine senders then
+    costs O(n + t n) rather than O(n^2), with per-link delivery semantics
+    (and RNG draw order) unchanged.
 
     Under a restricted {!Topology} (sampled or committee links) a
     recipient's inbox is instead a {e sparse slice}: the sorted list of
@@ -79,6 +82,20 @@ val sparse_slice :
   unit ->
   'msg t
 
+(** [patched ?codes base ~slots ~msgs ~len] — [base] seen through a patch:
+    slot [slots.(k)] holds [msgs.(k)] (packed as [codes.(k)]) for [k <
+    len], every other slot reads [base]. [slots] must be strictly
+    ascending over [\[0, len)]; [codes] is required by the tally kernels.
+    Kernels take [base]'s (memoized) result and correct it at the [len]
+    patched slots, costing O(len) after the first query of a shared base;
+    the base memo never stores a patched answer. The buffers are not
+    copied: the engine refills one set per run, so a patched plane is
+    valid only until its recipient's recv returns.
+    @raise Invalid_argument if [base] is not a flat plane or [len] exceeds
+    a buffer. *)
+val patched :
+  ?codes:int array -> 'msg t -> slots:int array -> msgs:'msg option array -> len:int -> 'msg t
+
 (** [shard_view t] — a view sharing [t]'s payloads and codes but with its
     own empty memo cache (a tally on it is computed, not memo-hit). *)
 val shard_view : 'msg t -> 'msg t
@@ -92,8 +109,8 @@ val length : _ t -> int
     [get t me] is the node's own broadcast. *)
 val get : 'msg t -> int -> 'msg option
 
-(** On a flat plane, visits every slot (with [None] for absent). On a
-    sparse slice, visits only delivered slots, ascending by sender. *)
+(** On a flat or patched plane, visits every slot (with [None] for absent).
+    On a sparse slice, visits only delivered slots, ascending by sender. *)
 val iteri : (int -> 'msg option -> unit) -> 'msg t -> unit
 
 val to_array : 'msg t -> 'msg option array

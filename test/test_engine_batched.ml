@@ -1,7 +1,8 @@
 (* Batched message-plane (DESIGN.md §10): the tally kernels must agree with
    a naive fold over the decoded messages on adversarial inputs (garbage
-   phases, non-binary votes, invalid flips, absent slots), and suite
-   documents must be byte-identical at any trial fan-out domain count. *)
+   phases, non-binary votes, invalid flips, absent slots), on solo, shared
+   and patched planes, and suite documents must be byte-identical at any
+   trial fan-out domain count. *)
 
 open Ba_core
 
@@ -103,6 +104,83 @@ let test_kernels_vs_naive () =
       (Ba_sim.Plane.shared ~encode:Skeleton.msg_code ~slab data)
   done
 
+(* Every boxed accessor of [plane] must read [data] exactly as a solo plane
+   over it does. *)
+let check_boxed data plane =
+  let reference = Ba_sim.Plane.of_array data in
+  Alcotest.(check int) "length" (Ba_sim.Plane.length reference) (Ba_sim.Plane.length plane);
+  Array.iteri
+    (fun v m -> Alcotest.(check bool) (Printf.sprintf "get %d" v) true (Ba_sim.Plane.get plane v = m))
+    data;
+  let visits p =
+    let acc = ref [] in
+    Ba_sim.Plane.iteri (fun v m -> acc := (v, m) :: !acc) p;
+    List.rev !acc
+  in
+  Alcotest.(check bool) "iteri" true (visits plane = visits reference);
+  Alcotest.(check bool) "to_array" true (Ba_sim.Plane.to_array plane = Ba_sim.Plane.to_array reference)
+
+(* Recipient after recipient reads one shared base through its own patch,
+   as in a dense Byzantine or faulty round. Patches hold absent, opaque,
+   non-binary-vote and bad-flip payloads; each view is checked against the
+   naive fold and against a solo plane over the patched copy, and the base
+   must still answer for the unpatched slab afterwards. *)
+let test_patched_vs_naive () =
+  let rng = Ba_prng.Rng.create 0x9A7C4EDL in
+  let slab = Array.make 64 Ba_sim.Plane.absent in
+  let encode = Skeleton.msg_code in
+  for _trial = 1 to 20 do
+    let n = 1 + Ba_prng.Rng.int rng 64 in
+    let base_data = random_inbox rng n in
+    let base = Ba_sim.Plane.shared ~encode ~slab base_data in
+    let slots = Array.make n 0 and msgs = Array.make n None in
+    let codes = Array.make n Ba_sim.Plane.absent in
+    for _recipient = 1 to 8 do
+      let len = ref 0 in
+      for v = 0 to n - 1 do
+        if Ba_prng.Rng.int rng 4 = 0 then begin
+          let m = if Ba_prng.Rng.int rng 5 = 0 then None else Some (random_msg rng) in
+          slots.(!len) <- v;
+          msgs.(!len) <- m;
+          codes.(!len) <- (match m with Some m -> encode m | None -> Ba_sim.Plane.absent);
+          incr len
+        end
+      done;
+      let plane = Ba_sim.Plane.patched ~codes base ~slots ~msgs ~len:!len in
+      let data = Array.copy base_data in
+      for k = 0 to !len - 1 do
+        data.(slots.(k)) <- msgs.(k)
+      done;
+      check_one_inbox data plane;
+      check_one_inbox data (Ba_sim.Plane.of_array ~encode data);
+      check_boxed data plane
+    done;
+    check_one_inbox base_data base;
+    check_boxed base_data base
+  done
+
+(* The base memo must never hold a patched answer: a patched query first,
+   then the base query, then the patched one again. *)
+let test_patched_keeps_base_memo () =
+  let n = 10 in
+  let msg v = { Skeleton.m_phase = 1; m_sub = Skeleton.R1; m_val = v; m_decided = true; m_flip = Some 1 } in
+  let data = Array.make n (Some (msg 0)) in
+  let base = Ba_sim.Plane.shared ~encode:Skeleton.msg_code ~slab:(Array.make n 0) data in
+  (* slot 3 now votes 1, slot 7 is dropped *)
+  let plane =
+    Ba_sim.Plane.patched
+      ~codes:[| Skeleton.msg_code (msg 1); Ba_sim.Plane.absent |]
+      base ~slots:[| 3; 7 |] ~msgs:[| Some (msg 1); None |] ~len:2
+  in
+  let counts p = Ba_sim.Plane.vote_counts p ~phase:1 ~sub:0 ~decided_only:false in
+  let sum p = Ba_sim.Plane.signed_sum p ~phase:1 ~sub:0 ~members:(fun _ -> true) in
+  Alcotest.(check (pair int int)) "patched first" (n - 2, 1) (counts plane);
+  Alcotest.(check int) "patched sum first" (n - 1) (sum plane);
+  Alcotest.(check (pair int int)) "base after patched" (n, 0) (counts base);
+  Alcotest.(check int) "base sum after patched" n (sum base);
+  Alcotest.(check (pair int int)) "patched again" (n - 2, 1) (counts plane);
+  Alcotest.(check bool) "base slot unpatched" true (Ba_sim.Plane.get base 7 = Some (msg 0))
+
 let test_kernels_memoized_repeat () =
   (* Repeated identical queries hit the memo on shared planes; the answer
      must not change. *)
@@ -151,7 +229,10 @@ let () =
         [ Alcotest.test_case "kernels vs naive on adversarial inboxes" `Quick
             test_kernels_vs_naive;
           Alcotest.test_case "memoized queries are stable" `Quick
-            test_kernels_memoized_repeat ] );
+            test_kernels_memoized_repeat;
+          Alcotest.test_case "patched views vs naive and solo" `Quick test_patched_vs_naive;
+          Alcotest.test_case "patched queries keep the base memo" `Quick
+            test_patched_keeps_base_memo ] );
       ( "shard determinism",
         [ Alcotest.test_case "suite JSON byte-identical at domains 1/2/4"
             `Slow test_suite_json_across_domains ] ) ]

@@ -93,6 +93,45 @@ let test_duplicate_stale_redelivery () =
   (* It was consumed: the next idle round gets nothing. *)
   Alcotest.(check (option int)) "consumed" None (deliver inst m ~round:3 ~src:0 ~dst:1 None)
 
+(* [deliver_edit] reports what a link did: an unchanged payload comes back
+   as the very value passed in, and a drop on a link holding a fresh stale
+   duplicate delivers that duplicate instead. *)
+let test_edit_codes () =
+  let edit = Alcotest.testable (fun ppf e ->
+      Format.pp_print_string ppf
+        (match e with Faults.Kept -> "kept" | Faults.Dropped -> "dropped" | Faults.Replaced -> "replaced"))
+      ( = )
+  in
+  let n = 64 in
+  let inst = Faults.instantiate (Faults.make ~drop:0.5 ~duplicate:1.0 ()) ~n ~seed:17L in
+  let m = Metrics.create () in
+  let sent = Array.init n (fun src -> Some src) in
+  let queued = Array.make n false in
+  for src = 1 to n - 1 do
+    let drops = Metrics.link_drops m in
+    let got = Faults.deliver inst ~metrics:m ~round:1 ~src ~dst:0 sent.(src) in
+    if Metrics.link_drops m = drops then begin
+      queued.(src) <- true;
+      Alcotest.(check bool) "a kept payload is the value sent" true (got == sent.(src))
+    end
+    else Alcotest.(check (option int)) "dropped delivers nothing" None got
+  done;
+  let stale_wins = ref 0 in
+  for src = 1 to n - 1 do
+    let drops = Metrics.link_drops m and dups = Metrics.link_duplicates m in
+    let e = Faults.deliver_edit inst ~metrics:m ~round:2 ~src ~dst:0 (Some (100 + src)) in
+    if Metrics.link_drops m > drops then
+      if queued.(src) then begin
+        incr stale_wins;
+        Alcotest.check edit "drop on a link with a stale copy" Faults.Replaced e;
+        Alcotest.(check (option int)) "the stale copy arrives" (Some src) (Faults.replacement inst);
+        Alcotest.(check int) "redelivery metered" (dups + 1) (Metrics.link_duplicates m)
+      end
+      else Alcotest.check edit "plain drop" Faults.Dropped e
+    else Alcotest.check edit "fresh payload kept" Faults.Kept e
+  done;
+  Alcotest.(check bool) "a stale copy replaced a drop" true (!stale_wins > 0)
+
 let test_duplicate_aging_and_busy_link () =
   let plan = Faults.make ~duplicate:1.0 () in
   (* Busy link: a fresh payload in the next round suppresses the stale copy
@@ -201,6 +240,7 @@ let () =
          Alcotest.test_case "zero rates pass through" `Quick test_zero_rates_passthrough;
          Alcotest.test_case "certain corrupt" `Quick test_certain_corrupt;
          Alcotest.test_case "duplicate stale redelivery" `Quick test_duplicate_stale_redelivery;
+         Alcotest.test_case "edit codes" `Quick test_edit_codes;
          Alcotest.test_case "duplicate aging & busy link" `Quick
            test_duplicate_aging_and_busy_link ]);
       ("silence", [ Alcotest.test_case "window semantics" `Quick test_silence_window ]);
