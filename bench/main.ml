@@ -157,6 +157,25 @@ let make_micro_tests () =
            (Ba_experiments.Fast_model.alg3 rng ~n:(1 lsl 24) ~t:16384 ~budget:16384 ())
              .Ba_experiments.Fast_model.rounds))
   in
+  (* One round of perfbench's sparse-sqrt shape (E22's largest size):
+     n = 8192, each sender sampling about sqrt n peers, no corruption and
+     no faults, so every slice reads the round's broadcasts by sender id
+     (DESIGN.md section 13). Engine setup is part of the call, as in the
+     n = 10^6 round below. *)
+  let sparse_round_sqrt =
+    let n = 8192 in
+    let run =
+      Ba_experiments.Setups.make
+        ~protocol:(Ba_experiments.Setups.Ks_sample { degree = 91 })
+        ~adversary:Ba_experiments.Setups.Silent ~n ~t:0
+    in
+    let inputs = Ba_experiments.Setups.inputs Ba_experiments.Setups.Split ~n ~t:0 in
+    let seed = ref 0L in
+    Test.make ~name:"plane/sparse-round-n8192-d91"
+      (Staged.stage (fun () ->
+           seed := Int64.add !seed 1L;
+           (run.exec ~max_rounds:1 ~record:false ~inputs ~seed:!seed ()).Ba_sim.Engine.rounds))
+  in
   (* The sparse plane at experiment-killing scale: one sampled delivery
      round at n = 10^6 with a constant sample degree — the dense plane
      would need 10^12 deliveries here; the topology-restricted path does
@@ -181,7 +200,7 @@ let make_micro_tests () =
   in
   [ calibration; prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer;
     engine_faults; engine_round; engine_async_step; engine_async_step_batched; engine_async_round;
-    model; sparse_round ]
+    model; sparse_round_sqrt; sparse_round ]
 
 (* Returns the measured (name, ns/call) pairs, sorted by name. *)
 let run_micro ~quota_ms =

@@ -74,18 +74,22 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
   (* A restricted plan delivers through one CSR inbox slab per run
      (DESIGN.md section 13), sized once from the plan's out-degree bound:
      every sender has at most its self-edge plus [degree_bound] links per
-     round. [edge_msg] keeps per-edge payloads, needed only when a fault
-     plan or a corrupted sender can change them. *)
+     round. Per-edge payloads ([edge_msg], [inbox_msgs], [inbox_codes])
+     exist only when a fault plan or a corrupted sender can make an edge
+     differ from its sender's broadcast; otherwise slices read the
+     broadcast and [sender_code] through the sender id. *)
   let cap = match topo with Some ti -> n * (Topology.degree_bound ti + 1) | None -> 0 in
   let per_node = if cap > 0 then n + 1 else 0 in
+  let owned_cap = if Option.is_some faults || t > 0 then cap else 0 in
   let edge_dst = Array.make cap 0 in
-  let edge_msg = Array.make (if Option.is_some faults || t > 0 then cap else 0) None in
+  let edge_msg = Array.make owned_cap None in
   let src_off = Array.make per_node 0 in
   let inbox_end = Array.make per_node 0 in
   let sender_code = Array.make per_node Plane.absent in
+  let sender_codes = Option.map (fun _ -> sender_code) codec in
   let inbox_srcs = Array.make cap 0 in
-  let inbox_msgs = Array.make cap None in
-  let inbox_codes = if cap > 0 && Option.is_some codec then Some (Array.make cap Plane.absent) else None in
+  let inbox_msgs = Array.make owned_cap None in
+  let inbox_codes = Option.map (fun _ -> Array.make owned_cap Plane.absent) codec in
   (* Dense plan: a recipient's patch of the slots where its inbox differs
      from the round's shared plane (DESIGN.md section 10), the senders whose
      links can differ, and [edited.(v)], [v]'s count of fault-edited links. *)
@@ -173,11 +177,17 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
     | Some ti, _ ->
         (* Restricted topology, pass 1, senders ascending: sampling,
            [byz_msg], fault draws and metering happen here, in the order of
-           the per-link loop. Each delivered edge's recipient is appended
-           to [edge_dst] (compacting the sampled set in place) and counted
-           in [inbox_end.(dst + 1)]. Byzantine traffic is constrained to
-           the sender's sampled links: corruption buys a node's slots in
-           the topology, not extra edges (DESIGN.md §13). *)
+           the per-link loop. A sampled set arrives in draw order and is
+           sorted only where a per-link draw or [byz_msg] call follows it;
+           a clean sender's order is not observable, since pass 2 orders
+           every slice by sender. Each delivered edge's recipient is
+           appended to [edge_dst] (compacting the sampled set in place) and
+           counted in [inbox_end.(dst + 1)]. Byzantine traffic is
+           constrained to the sender's sampled links: corruption buys a
+           node's slots in the topology, not extra edges (DESIGN.md §13).
+           A round is clean when no edge can differ from its sender's
+           broadcast. *)
+        let clean = Option.is_none faults && !corruptions_used = 0 in
         Array.fill inbox_end 0 (n + 1) 0;
         let e = ref 0 in
         let keep u =
@@ -201,7 +211,9 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
           src_off.(v) <- !e;
           if corrupted.(v) then begin
             let first = !e in
-            for i = first to first + Topology.recipients_into ti ~round:r ~src:v edge_dst ~pos:first - 1 do
+            let len = Topology.recipients_into ti ~round:r ~src:v edge_dst ~pos:first in
+            Topology.sort_recipients ti edge_dst ~pos:first ~len;
+            for i = first to first + len - 1 do
               let u = edge_dst.(i) in
               if live u then link ~src:v ~dst:u (action.byz_msg ~src:v ~dst:u) ~byzantine:true
             done
@@ -213,17 +225,18 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
                 (* a node always hears itself, unmetered — as on the dense
                    plane; the self-edge takes the slot before the sample *)
                 let first = !e + 1 in
-                let last = first + Topology.recipients_into ti ~round:r ~src:v edge_dst ~pos:first - 1 in
+                let len = Topology.recipients_into ti ~round:r ~src:v edge_dst ~pos:first in
                 match faults with
                 | None ->
                     keep v;
-                    for i = first to last do
+                    for i = first to first + len - 1 do
                       if live edge_dst.(i) then keep edge_dst.(i)
                     done;
                     meter_copies p ~copies:(!e - first)
                 | Some _ ->
+                    Topology.sort_recipients ti edge_dst ~pos:first ~len;
                     keep_owned v honest_msgs.(v);
-                    for i = first to last do
+                    for i = first to first + len - 1 do
                       let u = edge_dst.(i) in
                       if live u then link ~src:v ~dst:u honest_msgs.(v) ~byzantine:false
                     done)
@@ -235,9 +248,10 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
            slab: senders run ascending, so every slice is src-ascending,
            and afterwards [inbox_end.(u)] is the end of [u]'s slice. Only
            edges a fault or a corruption can change carry their own
-           payload; the rest take their sender's broadcast and its code,
-           encoded once, in a sequential pass 3 (cheaper than scattering
-           two more arrays). *)
+           payload. In a clean round every slice reads its senders'
+           broadcasts by sender id. Otherwise the other edges take their
+           sender's broadcast and its code, encoded once, in a sequential
+           pass 3 (cheaper than scattering two more arrays). *)
         for u = 1 to n do
           inbox_end.(u) <- inbox_end.(u) + inbox_end.(u - 1)
         done;
@@ -257,7 +271,7 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
             end
           done
         done;
-        if Option.is_none faults then
+        if (not clean) && Option.is_none faults then
           for k = 0 to src_off.(n) - 1 do
             let v = inbox_srcs.(k) in
             if not corrupted.(v) then begin
@@ -265,6 +279,7 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
               match inbox_codes with Some cs -> cs.(k) <- sender_code.(v) | None -> ()
             end
           done;
+        let msgs, codes = if clean then (honest_msgs, sender_codes) else (inbox_msgs, inbox_codes) in
         let lo = ref 0 in
         for u = 0 to n - 1 do
           let hi = inbox_end.(u) in
@@ -272,8 +287,8 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(topology = T
             states.(u) <-
               protocol.recv (ctx_of u) states.(u) ~round:r
                 ~inbox:
-                  (Plane.sparse_slice ?codes:inbox_codes ~n ~srcs:inbox_srcs ~msgs:inbox_msgs
-                     ~lo:!lo ~hi ());
+                  (Plane.sparse_slice ?codes ~by_sender:clean ~n ~srcs:inbox_srcs ~msgs ~lo:!lo
+                     ~hi ());
           lo := hi
         done
     | None, _ ->

@@ -63,7 +63,12 @@ type outcome = {
     Link faults compose: {!Faults.deliver} is applied to every sampled
     edge in the same deterministic order. Sampling draws from a dedicated
     salted stream keyed by [(seed, round, src)], so recipient sets are
-    independent of adversary behaviour.
+    independent of adversary behaviour. The engine sorts a recipient set
+    only where that order is observable, for a corrupted sender or under
+    a fault plan. In a round with no fault plan and no corrupted node,
+    every recipient's slice reads its payloads through the sender id. The
+    per-edge payload arrays are allocated only when [faults] or [t > 0]
+    lets an edge differ from its sender's broadcast (DESIGN.md §13).
     @param trace unified substrate trace hook ({!Run.trace}); the
     synchronous engine emits round-granularity events only ([Run.Tick] per
     round, [Run.Corrupt] per corruption — per-message events would defeat

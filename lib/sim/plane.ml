@@ -16,10 +16,14 @@
      ever stores unpatched answers;
    - sparse slice: under a restricted Topology a recipient's inbox is the
      short list of senders whose sampled recipient set contained it. The
-     slice stores (sorted source ids, packed codes, boxed payloads) for just
-     those deliveries, so tally kernels cost O(in-degree) — the whole point
-     of the sparse plane. Slices are solo by construction (one recipient
-     each), so nothing is memoized.
+     slice holds the sorted source ids of just those deliveries, so tally
+     kernels cost O(in-degree) — the whole point of the sparse plane. Each
+     delivery's payload and code sit either at its own slab slot (per-edge:
+     a fault or a Byzantine sender can make edges of one sender differ) or
+     at its sender id (sender-indexed: every edge carries its sender's
+     broadcast, so the round's broadcast array serves every slice). Slices
+     are solo by construction (one recipient each), so nothing is
+     memoized.
 
    The cache is keyed by plain ints (never closures — lint D005 bans
    physical equality, and structural equality on closures is meaningless),
@@ -67,8 +71,9 @@ type 'msg repr =
   | Sparse of {
       sp_n : int; (* sender-id space; [length] of the plane *)
       sp_srcs : int array; (* sorted ascending within [lo, hi) *)
-      sp_codes : int array option; (* packed in step with sp_srcs; None without codec *)
-      sp_msgs : 'msg option array; (* boxed payloads, in step with sp_srcs *)
+      sp_codes : int array option; (* packed codes; None without codec *)
+      sp_msgs : 'msg option array; (* boxed payloads *)
+      sp_by_sender : bool; (* payload and code of delivery k at sp_srcs.(k), else at k *)
       sp_lo : int;
       sp_hi : int;
     }
@@ -99,17 +104,22 @@ let shared ?encode ~slab data =
   in
   { p_repr = Flat { f_data = data; f_codes = codes; f_encode = encode }; p_cache = [] }
 
-let sparse_slice ?codes ~n ~srcs ~msgs ~lo ~hi () =
+let sparse_slice ?codes ?(by_sender = false) ~n ~srcs ~msgs ~lo ~hi () =
   if lo < 0 || hi < lo || hi > Array.length srcs then
     invalid_arg "Plane.sparse_slice: bad [lo, hi) slice";
-  if Array.length msgs <> Array.length srcs then
-    invalid_arg "Plane.sparse_slice: msgs length <> srcs length";
+  let need = if by_sender then n else hi in
+  if Array.length msgs < need then invalid_arg "Plane.sparse_slice: msgs too short";
   (match codes with
-  | Some cs when Array.length cs <> Array.length srcs ->
-      invalid_arg "Plane.sparse_slice: codes length <> srcs length"
+  | Some cs when Array.length cs < need -> invalid_arg "Plane.sparse_slice: codes too short"
   | Some _ | None -> ());
-  { p_repr = Sparse { sp_n = n; sp_srcs = srcs; sp_codes = codes; sp_msgs = msgs; sp_lo = lo; sp_hi = hi };
+  { p_repr =
+      Sparse
+        { sp_n = n; sp_srcs = srcs; sp_codes = codes; sp_msgs = msgs; sp_by_sender = by_sender;
+          sp_lo = lo; sp_hi = hi };
     p_cache = [] }
+
+(* Where a sparse slice keeps the payload and code of its [k]-th delivery. *)
+let sparse_at ~by_sender srcs k = if by_sender then srcs.(k) else k
 
 let patched ?codes base ~slots ~msgs ~len =
   (match base.p_repr with
@@ -151,14 +161,14 @@ let rec get t v =
       if k >= 0 then p.pt_msgs.(k) else get p.pt_base v
   | Sparse s ->
       let k = find_sorted s.sp_srcs ~lo:s.sp_lo ~hi:s.sp_hi v in
-      if k >= 0 then s.sp_msgs.(k) else None
+      if k >= 0 then s.sp_msgs.(sparse_at ~by_sender:s.sp_by_sender s.sp_srcs k) else None
 
 let rec iteri f t =
   match t.p_repr with
   | Flat fl -> Array.iteri f fl.f_data
   | Sparse s ->
       for k = s.sp_lo to s.sp_hi - 1 do
-        f s.sp_srcs.(k) s.sp_msgs.(k)
+        f s.sp_srcs.(k) s.sp_msgs.(sparse_at ~by_sender:s.sp_by_sender s.sp_srcs k)
       done
   | Patched p ->
       let k = ref 0 in
@@ -177,7 +187,7 @@ let rec to_array t =
   | Sparse s ->
       let out = Array.make s.sp_n None in
       for k = s.sp_lo to s.sp_hi - 1 do
-        out.(s.sp_srcs.(k)) <- s.sp_msgs.(k)
+        out.(s.sp_srcs.(k)) <- s.sp_msgs.(sparse_at ~by_sender:s.sp_by_sender s.sp_srcs k)
       done;
       out
   | Patched p ->
@@ -241,7 +251,7 @@ let vote_counts_scan t ~phase ~sub ~decided_only =
   | Sparse s ->
       let codes = packed_codes s.sp_codes in
       for k = s.sp_lo to s.sp_hi - 1 do
-        count codes.(k)
+        count codes.(sparse_at ~by_sender:s.sp_by_sender s.sp_srcs k)
       done
   | Patched _ -> assert false);
   (!c0, !c1)
@@ -296,7 +306,7 @@ let signed_sum_scan t ~phase ~sub ~members =
   | Sparse s ->
       let codes = packed_codes s.sp_codes in
       for k = s.sp_lo to s.sp_hi - 1 do
-        if members s.sp_srcs.(k) then add codes.(k)
+        if members s.sp_srcs.(k) then add codes.(sparse_at ~by_sender:s.sp_by_sender s.sp_srcs k)
       done
   | Patched _ -> assert false);
   !sum

@@ -17,9 +17,10 @@
     Under a restricted {!Topology} (sampled or committee links) a
     recipient's inbox is instead a {e sparse slice}: the sorted list of
     senders whose per-round recipient set contained it, with packed codes
-    and boxed payloads stored per delivery. Tally kernels on a slice cost
-    O(in-degree) rather than O(n) — the sublinear-communication plane of
-    DESIGN.md §13.
+    and boxed payloads stored per delivery or, when every delivery carries
+    its sender's broadcast, read through the sender id. Tally kernels on a
+    slice cost O(in-degree) rather than O(n) — the sublinear-communication
+    plane of DESIGN.md §13.
 
     A protocol opts into the packed kernels by providing a
     [Protocol.t.codec] built from {!code}; protocols with payloads that
@@ -60,20 +61,25 @@ val of_array : ?encode:('msg -> int) -> 'msg option array -> 'msg t
     any recipient can still read the plane. *)
 val shared : ?encode:('msg -> int) -> slab:int array -> 'msg option array -> 'msg t
 
-(** [sparse_slice ?codes ~n ~srcs ~msgs ~lo ~hi ()] — a per-recipient plane
-    over the slice [lo, hi) of parallel delivery arrays: [srcs.(k)] is the
-    sender id (strictly ascending within the slice), [msgs.(k)] its boxed
-    payload, and [codes.(k)] (when the protocol has a codec) its packed
-    code. [n] is the sender-id space and becomes {!length}. The arrays are
-    not copied: the engine's slices share one per-run inbox slab, refilled
-    each round, so a slice is valid only until its round's recv steps end
-    (the [Protocol.recv] contract). Kernels scan only the slice; {!get} binary-searches it;
-    {!iteri} visits {e delivered} slots only (a sparse inbox has no
-    meaningful "absent slot" enumeration).
-    @raise Invalid_argument if the slice bounds are bad or the arrays have
-    mismatched lengths. *)
+(** [sparse_slice ?codes ?by_sender ~n ~srcs ~msgs ~lo ~hi ()] — a
+    per-recipient plane over the deliveries [lo, hi) of [srcs]: [srcs.(k)]
+    is the sender id (in [\[0, n)], strictly ascending within the slice).
+    Per edge (the default), [msgs.(k)] is delivery [k]'s boxed payload and
+    [codes.(k)] (when the protocol has a codec) its packed code. With
+    [~by_sender:true] they are read at the sender id instead,
+    [msgs.(srcs.(k))] and [codes.(srcs.(k))]: the engine passes the
+    round's broadcast array when no edge differs from its sender's
+    broadcast. [n] is the sender-id space and becomes {!length}. The
+    arrays are not copied: the engine's slices share one per-run inbox
+    slab, refilled each round, so a slice is valid only until its round's
+    recv steps end (the [Protocol.recv] contract). Kernels scan only the
+    slice; {!get} binary-searches it; {!iteri} visits {e delivered} slots
+    only (a sparse inbox has no meaningful "absent slot" enumeration).
+    @raise Invalid_argument if the slice bounds are bad, or if [msgs] or
+    [codes] is too short: shorter than [hi] per edge, than [n] by sender. *)
 val sparse_slice :
   ?codes:int array ->
+  ?by_sender:bool ->
   n:int ->
   srcs:int array ->
   msgs:'msg option array ->

@@ -136,8 +136,8 @@ let sort_sample t (a : int array) ~pos ~k =
   end;
   insertion_sort a ~lo:pos ~hi:(pos + k)
 
-(* [k] distinct values from [0, n) \ {skip} into [out.(pos) ..], sorted
-   ascending. Rejection sampling for the sparse regime (k well below n):
+(* [k] distinct values from [0, n) \ {skip} into [out.(pos) ..], in draw
+   order. Rejection sampling for the sparse regime (k well below n):
    expected O(k) draws, membership by epoch stamp. Near-dense requests
    fall back to a partial Fisher-Yates over the explicit candidate set —
    O(n), only reachable at test scale. *)
@@ -173,8 +173,7 @@ let sample_into t ~k ~skip out ~pos =
         incr filled
       end
     done
-  end;
-  sort_sample t out ~pos ~k
+  end
 
 let recipients_into t ~round ~src out ~pos =
   if round < 1 then invalid_arg "Topology.recipients: rounds are 1-based";
@@ -203,7 +202,15 @@ let recipients_into t ~round ~src out ~pos =
       done;
       !k
 
+(* Only a sampled set is written out of order; the dense and committee
+   sets are generated ascending. *)
+let sort_recipients t out ~pos ~len =
+  match t.tp_plan with
+  | Sampled _ -> sort_sample t out ~pos ~k:len
+  | Dense | Committees _ -> ()
+
 let recipients t ~round ~src =
   let out = Array.make (degree_bound t) 0 in
   let k = recipients_into t ~round ~src out ~pos:0 in
+  sort_recipients t out ~pos:0 ~len:k;
   if k = Array.length out then out else Array.sub out 0 k

@@ -51,9 +51,20 @@ val degree_bound : t -> int
     @raise Invalid_argument if [round < 1] or [src] is out of range. *)
 val recipients : t -> round:int -> src:int -> int array
 
-(** [recipients_into t ~round ~src out ~pos] writes [recipients t ~round
-    ~src] into [out.(pos)] onwards and returns its length, allocating
-    nothing on the sparse sampling path. [out] needs [degree_bound t]
-    free slots from [pos].
+(** [recipients_into t ~round ~src out ~pos] writes the set [recipients t
+    ~round ~src] into [out.(pos)] onwards, in draw order, and returns its
+    length, allocating nothing on the sparse sampling path. Draw order is
+    ascending for [Dense] and [Committees]; a [Sampled] set comes out in
+    the order its (round, src) stream drew it. A caller whose result
+    depends on the order (a per-link draw or adversary call) passes the
+    range to {!sort_recipients} first. [out] needs [degree_bound t] free
+    slots from [pos].
     @raise Invalid_argument as {!recipients}. *)
 val recipients_into : t -> round:int -> src:int -> int array -> pos:int -> int
+
+(** [sort_recipients t out ~pos ~len] sorts the [len] recipients that
+    {!recipients_into} just wrote at [out.(pos)] ascending, in place and
+    without allocating: the order {!recipients} returns. A no-op for
+    [Dense] and [Committees]. [len] must be the length [recipients_into]
+    returned. *)
+val sort_recipients : t -> int array -> pos:int -> len:int -> unit

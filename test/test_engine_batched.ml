@@ -1,8 +1,8 @@
 (* Batched message-plane (DESIGN.md §10): the tally kernels must agree with
    a naive fold over the decoded messages on adversarial inputs (garbage
-   phases, non-binary votes, invalid flips, absent slots), on solo, shared
-   and patched planes, and suite documents must be byte-identical at any
-   trial fan-out domain count. *)
+   phases, non-binary votes, invalid flips, absent slots), on solo, shared,
+   patched and sparse planes (§13), and suite documents must be
+   byte-identical at any trial fan-out domain count. *)
 
 open Ba_core
 
@@ -90,6 +90,53 @@ let check_one_inbox data plane =
       subs
   done
 
+(* A sparse slice must read like [data] restricted to its delivered
+   senders: every slot through [get], [to_array] and the kernels, and the
+   delivered slots only, ascending, through [iteri]. *)
+let check_sparse data plane =
+  check_one_inbox data plane;
+  Alcotest.(check int) "sparse length" (Array.length data) (Ba_sim.Plane.length plane);
+  Array.iteri
+    (fun v m -> Alcotest.(check bool) (Printf.sprintf "sparse get %d" v) true (Ba_sim.Plane.get plane v = m))
+    data;
+  let visits = ref [] in
+  Ba_sim.Plane.iteri (fun v m -> visits := (v, m) :: !visits) plane;
+  let delivered = List.filter (fun (_, m) -> m <> None) (List.mapi (fun v m -> (v, m)) (Array.to_list data)) in
+  Alcotest.(check bool) "sparse iteri" true (List.rev !visits = delivered);
+  Alcotest.(check bool) "sparse to_array" true (Ba_sim.Plane.to_array plane = data)
+
+(* One recipient's deliveries from a random subset of [data]'s senders,
+   as the engine stores them both ways: per edge, at slots [lo, hi) of a
+   slab other recipients' slices share, and by sender, over an n-slot
+   broadcast array whose undelivered slots hold payloads the slice must
+   never read. Returns [data] restricted to the delivered senders and the
+   two slices. *)
+let sparse_slices rng data =
+  let encode = Skeleton.msg_code in
+  let code = function Some m -> encode m | None -> Ba_sim.Plane.absent in
+  let n = Array.length data in
+  let delivered = Array.map (fun m -> m <> None && Ba_prng.Rng.int rng 3 > 0) data in
+  let full = Array.mapi (fun v m -> if delivered.(v) then m else None) data in
+  let srcs = List.filter (fun v -> delivered.(v)) (List.init n Fun.id) in
+  let junk () = List.init (Ba_prng.Rng.int rng 4) (fun _ -> Ba_prng.Rng.int rng n) in
+  let before = junk () in
+  let lo = List.length before in
+  let hi = lo + List.length srcs in
+  let slab_srcs = Array.of_list (before @ srcs @ junk ()) in
+  let slab_msgs =
+    Array.mapi (fun k v -> if k >= lo && k < hi then data.(v) else Some (random_msg rng)) slab_srcs
+  in
+  let per_edge =
+    Ba_sim.Plane.sparse_slice ~codes:(Array.map code slab_msgs) ~n ~srcs:slab_srcs
+      ~msgs:slab_msgs ~lo ~hi ()
+  in
+  let broadcast = Array.mapi (fun v m -> if delivered.(v) then m else Some (random_msg rng)) data in
+  let by_sender =
+    Ba_sim.Plane.sparse_slice ~codes:(Array.map code broadcast) ~by_sender:true ~n
+      ~srcs:slab_srcs ~msgs:broadcast ~lo ~hi ()
+  in
+  (full, per_edge, by_sender)
+
 let test_kernels_vs_naive () =
   let rng = Ba_prng.Rng.create 0xBA7C4EDL in
   let slab = Array.make 64 Ba_sim.Plane.absent in
@@ -101,7 +148,11 @@ let test_kernels_vs_naive () =
       (Ba_sim.Plane.of_array ~encode:Skeleton.msg_code data);
     (* shared plane: codes packed once into the reused slab *)
     check_one_inbox data
-      (Ba_sim.Plane.shared ~encode:Skeleton.msg_code ~slab data)
+      (Ba_sim.Plane.shared ~encode:Skeleton.msg_code ~slab data);
+    (* sparse slices, per edge and by sender, over the same deliveries *)
+    let full, per_edge, by_sender = sparse_slices rng data in
+    check_sparse full per_edge;
+    check_sparse full by_sender
   done
 
 (* Every boxed accessor of [plane] must read [data] exactly as a solo plane

@@ -319,10 +319,15 @@ let gen_genome ~n ~t =
   in
   oneof [ oneofl (List.map snd (crash_catalog ~t)); composed ]
 
+(* A fifth of the configurations have no corruption budget and a third no
+   fault plan, so restricted runs often have clean rounds, whose slices
+   read the round's broadcasts by sender id. With a budget, the
+   equivocator's first corruption often lands mid-run, so one run reads
+   both slice kinds. *)
 let gen_config =
   let open QCheck.Gen in
   let* n = int_range 2 32 in
-  let* t = int_range 1 (n - 1) in
+  let* t = frequency [ (1, return 0); (4, int_range 1 (n - 1)) ] in
   let* plan =
     oneof
       [ return Topology.Dense;
@@ -333,12 +338,13 @@ let gen_config =
     frequency
       [ (3, map (fun s -> Equivocator s)
               (list_size (int_range 0 4) (pair (int_range 1 6) (int_range 0 (n - 1)))));
-        (1, map (fun g -> Genome g) (gen_genome ~n ~t)) ]
+        ((if t > 0 then 1 else 0), map (fun g -> Genome g) (gen_genome ~n ~t)) ]
   in
-  let prob = oneofl [ 0.0; 0.0; 0.1; 0.3 ] in
+  let* faulty = frequency [ (2, return true); (1, return false) ] in
+  let prob = if faulty then oneofl [ 0.0; 0.0; 0.1; 0.3 ] else return 0.0 in
   let* drop = prob and* dup = prob and* corrupt = prob in
   let* silences =
-    list_size (int_range 0 3)
+    list_size (if faulty then int_range 0 3 else return 0)
       (let* v = int_range 0 (n - 1) and* from = int_range 1 5 and* len = int_range 1 3 in
        return (v, from, from + len))
   in
@@ -396,7 +402,10 @@ let prop_matches_reference =
    fault kind and every plan. On the dense plan the engine has three
    delivery cases, each checked on its own fixture: the shared plane
    (nothing corrupted, no faults), Byzantine senders without faults, and
-   link faults without corruption. *)
+   link faults without corruption. A sampled run reads sender-indexed
+   slices in its clean rounds (no fault plan, nothing corrupted yet) and
+   per-edge slices after that, so it has two more: a clean run with t = 0,
+   and a fault-free run whose first corruption lands mid-run. *)
 let test_property_reaches_every_path () =
   let n = 16 and t = 5 in
   let faults =
@@ -446,7 +455,31 @@ let test_property_reaches_every_path () =
     [ (("drops", Metrics.link_drops faulty.metrics), positive);
       (("duplicates", Metrics.link_duplicates faulty.metrics), positive);
       (("corruptions", Metrics.link_corruptions faulty.metrics), positive);
-      (("corrupted", faulty.corruptions_used), zero) ]
+      (("corrupted", faulty.corruptions_used), zero) ];
+  let sampled = Topology.Sampled { degree = 4 } in
+  let clean = Engine.run ~max_rounds:8 ~topology:sampled ~protocol:digest_protocol
+      ~adversary:(equivocator ~schedule:[ (1, 3) ] ~seed:5L) ~n ~t:0 ~inputs ~seed:2026L ()
+  in
+  List.iter
+    (fun (kv, ok) -> check "sampled clean" kv ok)
+    [ (("messages", Metrics.messages clean.metrics), positive);
+      (("corrupted", clean.corruptions_used), zero);
+      (("fault events", Metrics.fault_events clean.metrics), zero) ];
+  (* the equivocator's own pick corrupts from round 2 on *)
+  let mixed = Engine.run ~max_rounds:8 ~record:true ~topology:sampled ~protocol:digest_protocol
+      ~adversary:(equivocator ~schedule:[] ~seed:5L) ~n ~t ~inputs ~seed:2026L ()
+  in
+  let first_corruption =
+    List.fold_left
+      (fun acc rr -> if acc = 0 && rr.Engine.rr_new_corruptions <> [] then rr.rr_round else acc)
+      0 mixed.records
+  in
+  List.iter
+    (fun (kv, ok) -> check "sampled mid-run corruption" kv ok)
+    [ (("first corruption round", first_corruption), ( < ) 1);
+      (("rounds after it", mixed.rounds - first_corruption), positive);
+      (("byzantine", Metrics.byzantine_messages mixed.metrics), positive);
+      (("fault events", Metrics.fault_events mixed.metrics), zero) ]
 
 let () =
   Alcotest.run "ba_restricted"

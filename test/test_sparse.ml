@@ -195,22 +195,32 @@ let test_slice_validation () =
   let srcs = [| 1; 3 |] in
   let msgs = [| Some 0; Some 1 |] in
   let ok ~lo ~hi = Plane.sparse_slice ~n:5 ~srcs ~msgs ~lo ~hi () in
+  let rejected label make =
+    Alcotest.(check bool) label true
+      (try
+         ignore (make ());
+         false
+       with Invalid_argument _ -> true)
+  in
   ignore (ok ~lo:0 ~hi:2);
   List.iter
     (fun (lo, hi) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "bounds lo=%d hi=%d rejected" lo hi)
-        true
-        (try
-           ignore (ok ~lo ~hi);
-           false
-         with Invalid_argument _ -> true))
+      rejected (Printf.sprintf "bounds lo=%d hi=%d rejected" lo hi) (fun () -> ok ~lo ~hi))
     [ (-1, 2); (0, 3); (2, 1) ];
-  Alcotest.(check bool) "mismatched arrays rejected" true
-    (try
-       ignore (Plane.sparse_slice ~n:5 ~srcs ~msgs:[| Some 0 |] ~lo:0 ~hi:2 ());
-       false
-     with Invalid_argument _ -> true)
+  (* per edge, payloads and codes must cover the slice; by sender, every
+     sender id below [n] *)
+  let codes = [| 0; 0 |] and broadcast = Array.make 5 (Some 0) and sender_codes = Array.make 5 0 in
+  ignore (Plane.sparse_slice ~codes ~n:5 ~srcs ~msgs ~lo:0 ~hi:2 ());
+  ignore (Plane.sparse_slice ~codes:sender_codes ~by_sender:true ~n:5 ~srcs ~msgs:broadcast ~lo:0 ~hi:2 ());
+  rejected "short msgs rejected" (fun () ->
+      Plane.sparse_slice ~n:5 ~srcs ~msgs:[| Some 0 |] ~lo:0 ~hi:2 ());
+  rejected "short codes rejected" (fun () ->
+      Plane.sparse_slice ~codes:[| 0 |] ~n:5 ~srcs ~msgs ~lo:0 ~hi:2 ());
+  rejected "short sender-indexed msgs rejected" (fun () ->
+      Plane.sparse_slice ~by_sender:true ~n:5 ~srcs ~msgs:(Array.make 4 (Some 0)) ~lo:0 ~hi:2 ());
+  rejected "short sender-indexed codes rejected" (fun () ->
+      Plane.sparse_slice ~codes:(Array.make 4 0) ~by_sender:true ~n:5 ~srcs ~msgs:broadcast ~lo:0
+        ~hi:2 ())
 
 (* ---------------- topology ---------------- *)
 
@@ -245,6 +255,48 @@ let test_topology_recipients () =
          Topology.recipients sampled ~round ~src:11
          <> Topology.recipients other_seed ~round ~src:11)
        [ 1; 2; 3; 4; 5 ])
+
+(* [recipients_into] writes a sampled set in draw order; sorted, it must be
+   exactly [recipients]. Half the sampled degrees are near-dense
+   (2k >= n - 1), where the sampler takes its Fisher-Yates branch. The
+   slots around the written range stay untouched. *)
+let prop_recipients_into_permutes =
+  let gen =
+    let open QCheck.Gen in
+    let* n = int_range 2 300 in
+    let* plan =
+      frequency
+        [ (2, map (fun d -> Topology.Sampled { degree = d }) (int_range 1 (n - 1)));
+          (2, map (fun d -> Topology.Sampled { degree = d }) (int_range (n / 2) (n - 1)));
+          (1, return Topology.Dense);
+          (1, map (fun c -> Topology.Committees { count = c }) (int_range 1 n)) ]
+    in
+    let* round = int_range 1 50 and* src = int_range 0 (n - 1) and* pos = int_range 0 3 in
+    let* seed = int_range 0 1_000_000 in
+    return (n, plan, round, src, pos, seed)
+  in
+  let print (n, plan, round, src, pos, seed) =
+    let plan =
+      match plan with
+      | Topology.Dense -> "dense"
+      | Topology.Sampled { degree } -> Printf.sprintf "sampled %d" degree
+      | Topology.Committees { count } -> Printf.sprintf "committees %d" count
+    in
+    Printf.sprintf "n=%d %s round=%d src=%d pos=%d seed=%d" n plan round src pos seed
+  in
+  QCheck.Test.make ~name:"recipients_into permutes recipients" ~count:500 (QCheck.make ~print gen)
+    (fun (n, plan, round, src, pos, seed) ->
+      let topo = Topology.instantiate plan ~n ~seed:(Int64.of_int seed) in
+      let out = Array.make (pos + Topology.degree_bound topo + 2) (-1) in
+      let len = Topology.recipients_into topo ~round ~src out ~pos in
+      let drawn = Array.sub out pos len in
+      let expected = Topology.recipients topo ~round ~src in
+      Topology.sort_recipients topo out ~pos ~len;
+      let untouched = ref true in
+      Array.iteri (fun i x -> if (i < pos || i >= pos + len) && x <> -1 then untouched := false) out;
+      !untouched
+      && List.sort compare (Array.to_list drawn) = Array.to_list expected
+      && Array.sub out pos len = expected)
 
 let test_topology_validate () =
   List.iter
@@ -400,6 +452,7 @@ let () =
           Alcotest.test_case "slice validation" `Quick test_slice_validation ] );
       ( "topology",
         [ Alcotest.test_case "recipient sets" `Quick test_topology_recipients;
+          QCheck_alcotest.to_alcotest prop_recipients_into_permutes;
           Alcotest.test_case "plan validation" `Quick test_topology_validate ] );
       ( "sampled engine",
         [ Alcotest.test_case "outcomes reproducible per seed" `Quick
