@@ -51,7 +51,9 @@ let run n k b trials seed engine_trials =
     if engine_trials > 0 then begin
       let designated v = v < k in
       let protocol = Ba_core.Common_coin.algorithm2 ~designated in
-      let adversary = Ba_adversary.Coin_adv.splitter ~designated in
+      let adversary =
+        Ba_adversary.Strategy.(to_coin ~name:"coin-splitter" coin_splitter_point) ~designated
+      in
       let common = ref 0 in
       for trial = 0 to engine_trials - 1 do
         let s = Ba_prng.Splitmix64.mix (Int64.add seed (Int64.of_int (trial + 7919))) in

@@ -28,7 +28,9 @@ let () =
         (Ba_stats.Summary.mean agg))
     [ ("fifo", Async_engine.fifo);
       ("random scheduler", Async_adv.random_scheduler ~rng:(Ba_prng.Rng.create 1L));
-      ("byzantine splitter", Async_adv.ben_or_splitter ~rng:(Ba_prng.Rng.create 2L)) ];
+      ( "byzantine splitter",
+        Async_adv.of_strategy_ben_or ~rng:(Ba_prng.Rng.create 2L)
+          Ba_adversary.Strategy.async_splitter_point ) ];
 
   (* 2. Bracha reliable broadcast with an equivocating broadcaster. *)
   print_newline ();

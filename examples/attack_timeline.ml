@@ -32,8 +32,9 @@ let () =
      plan without equivocation dies far sooner. *)
   show ~title:"crash-committee-killer (mid-round crashes only)"
     ~adversary_of:(fun inst ->
-      Ba_adversary.Skeleton_adv.crash_committee_killer ~config:inst.Ba_core.Agreement.config
-        ~designated:(designated inst))
+      Ba_adversary.Strategy.(
+        to_skeleton ~name:"crash-committee-killer" crash_committee_killer_point)
+        ~config:inst.Ba_core.Agreement.config ~designated:(designated inst))
     ~inputs:split ~n ~t ~seed:7L;
 
   (* 3. The lone-finisher: one node (id 3) gets pushed over the finish
@@ -41,7 +42,9 @@ let () =
      must converge through the Lemma 4 window. *)
   show ~title:"lone-finisher targeting node 3 (near-threshold inputs)"
     ~adversary_of:(fun inst ->
-      Ba_adversary.Skeleton_adv.lone_finisher ~rng:(Ba_prng.Rng.create 21L)
-        ~config:inst.Ba_core.Agreement.config ~target:3)
+      Ba_adversary.Strategy.to_skeleton ~name:"lone-finisher-3" ~rng:(Ba_prng.Rng.create 21L)
+        (Ba_adversary.Strategy.lone_finisher_point ~target:3)
+        ~config:inst.Ba_core.Agreement.config
+        ~designated:(fun ~phase:_ _ -> false))
     ~inputs:(Ba_experiments.Setups.inputs Ba_experiments.Setups.Near_threshold ~n ~t) ~n ~t
     ~seed:22L

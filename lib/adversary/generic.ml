@@ -1,17 +1,9 @@
-(* Thin wrappers over the strategy IR: each constructor names a catalog
-   point and lowers it with the shared interpreter (Strategy.to_generic),
-   so the legacy behaviour and the IR point cannot drift. *)
+(* Message-agnostic constructors: the benign baseline, the static crash
+   catalog point (Strategy.to_generic hosts its logic) and the budget cap. *)
 
 let silent = Ba_sim.Adversary.silent
 
 let static_crash ~rng = Strategy.to_generic ~name:"static-crash" ~rng Strategy.static_crash_point
-
-let staggered_crash ~rng ~per_round =
-  if per_round < 0 then invalid_arg "staggered_crash: per_round < 0";
-  Strategy.to_generic
-    ~name:(Printf.sprintf "staggered-crash-%d" per_round)
-    ~rng
-    (Strategy.staggered_crash_point ~per_round)
 
 let capped ~limit adv =
   if limit < 0 then invalid_arg "Generic.capped: limit < 0";
@@ -28,8 +20,3 @@ let capped ~limit adv =
         let corrupt = take budget_left action.Ba_sim.Adversary.corrupt in
         used := !used + List.length corrupt;
         { action with corrupt }) }
-
-let crash_at ~round ~victims =
-  Strategy.to_generic
-    ~name:(Printf.sprintf "crash-at-%d" round)
-    (Strategy.crash_at_point ~round ~victims)

@@ -1,25 +1,18 @@
-(** Protocol-agnostic adversary strategies.
+(** Protocol-agnostic adversary constructors.
 
     These never fabricate payloads, so they work against any protocol:
     corrupted nodes simply fall silent (which in the synchronous model is
     the crash behaviour — Bar-Joseph & Ben-Or's lower bound already holds
-    for such adaptive crash faults). *)
+    for such adaptive crash faults). Other crash schedules are
+    {!Strategy} catalog points lowered by {!Strategy.to_generic}. *)
 
 (** [silent] — corrupts nobody (the honest run). *)
 val silent : ('s, 'm) Ba_sim.Adversary.t
 
-(** [static_crash ~rng] — corrupts [t] uniformly random nodes in round 1;
-    they stay silent forever. The classic static-adversary baseline. *)
+(** [static_crash ~rng] — {!Strategy.static_crash_point}, named
+    ["static-crash"]: corrupts [t] uniformly random nodes in round 1; they
+    stay silent forever. *)
 val static_crash : rng:Ba_prng.Rng.t -> ('s, 'm) Ba_sim.Adversary.t
-
-(** [staggered_crash ~per_round] — adaptively crashes up to [per_round]
-    random live honest nodes every round until the budget runs out: the
-    adaptive crash-fault pattern of the Bar-Joseph–Ben-Or bound. *)
-val staggered_crash : rng:Ba_prng.Rng.t -> per_round:int -> ('s, 'm) Ba_sim.Adversary.t
-
-(** [crash_at ~round ~victims] — deterministically crashes the given nodes
-    at the given round (failure-injection tests). *)
-val crash_at : round:int -> victims:int list -> ('s, 'm) Ba_sim.Adversary.t
 
 (** [capped ~limit adv] — [adv], but restricted to at most [limit]
     corruptions in total (the inner adversary sees the reduced budget, so

@@ -1,29 +1,6 @@
-(* Thin wrappers over the strategy IR: each legacy constructor is a named
-   catalog point lowered by the shared interpreter (Strategy.to_skeleton),
-   which hosts the one copy of each attack's logic. *)
+(* The committee killer's catalog point, named; Strategy.to_skeleton hosts
+   the attack's logic. *)
 
 let committee_killer ~config ~designated =
   Strategy.to_skeleton ~name:"committee-killer" Strategy.committee_killer_point ~config
     ~designated
-
-let crash_committee_killer ~config ~designated =
-  Strategy.to_skeleton ~name:"crash-committee-killer" Strategy.crash_committee_killer_point
-    ~config ~designated
-
-let equivocator ~rng ~config =
-  Strategy.to_skeleton ~name:"equivocator" ~rng Strategy.equivocator_point ~config
-    ~designated:(fun ~phase:_ _ -> false)
-
-let lone_finisher ~rng ~config ~target =
-  Strategy.to_skeleton
-    ~name:(Printf.sprintf "lone-finisher-%d" target)
-    ~rng
-    (Strategy.lone_finisher_point ~target)
-    ~config
-    ~designated:(fun ~phase:_ _ -> false)
-
-let random_noise ~rng ~config ~corrupt_prob =
-  Strategy.to_skeleton ~name:"random-noise" ~rng
-    (Strategy.random_noise_point ~corrupt_prob)
-    ~config
-    ~designated:(fun ~phase:_ _ -> false)

@@ -1,78 +1,13 @@
-(** Rushing adaptive adversaries against skeleton-based protocols
-    (Algorithm 3, Chor–Coan, Rabin, Ben-Or — anything speaking
-    {!Ba_core.Skeleton.msg}).
+(** The committee killer against skeleton-based protocols (Algorithm 3,
+    Chor–Coan, Rabin, Ben-Or — anything speaking {!Ba_core.Skeleton.msg}).
+    Every other skeleton-message attack is a {!Strategy} catalog point
+    lowered by {!Strategy.to_skeleton}. *)
 
-    All constructors take the protocol's {!Ba_core.Skeleton.config} so the
-    adversary knows the round structure (which sub-round carries the coin)
-    and, where relevant, the designated-flipper schedule. *)
-
-(** [committee_killer ~config ~designated] — the strongest known adaptive
-    attack on Algorithm 3 and the one that exhibits the worst-case
-    [Θ(t²log n/n)] round shape. Every coin round it:
-
-    + reads the phase's assigned value [b_i] (the value any honest node
-      decided on in round 1 — Lemma 3 makes it unique);
-    + sums the honest committee flips [X] and counts already-corrupted
-      committee members [e];
-    + if the coin, left alone, would come up common and equal to [b_i] (or
-      no [b_i] exists, in which case any common coin unifies the honest
-      nodes), it corrupts the minimum number of majority-side committee
-      flippers needed to make the receivers' sums straddle zero and
-      equivocates [+1]/[-1] to even/odd receivers, keeping the honest nodes
-      split;
-    + otherwise it saves its budget (a common coin opposite to [b_i], or an
-      already-splittable sum, costs it nothing).
-
-    Killing one coin costs [Ω(√s)] corruptions in expectation, so the budget
-    dies after [O(t/√s)] phases — exactly the counting argument in the proof
-    of Theorem 2. *)
+(** [committee_killer ~config ~designated] — {!Strategy.committee_killer_point}
+    lowered against the protocol's round structure [config] and its
+    designated-flipper schedule, named ["committee-killer"]: the adaptive
+    attack behind Theorem 2's worst-case [Θ(t²log n/n)] round shape. *)
 val committee_killer :
   config:Ba_core.Skeleton.config ->
   designated:(phase:int -> int -> bool) ->
-  (Ba_core.Skeleton.state, Ba_core.Skeleton.msg) Ba_sim.Adversary.t
-
-(** [crash_committee_killer ~config ~designated] — the committee-killer
-    restricted to *crash* faults, i.e. the Bar-Joseph–Ben-Or fault model:
-    a node can be crashed mid-round so that its final broadcast reaches
-    only an adversary-chosen subset of receivers, but nothing can be
-    forged. Killing a coin then requires making some receivers' sums
-    straddle zero using deletions only — receiver sums span
-    [X - k, X] after crashing [k] majority-side flippers, so the cost is
-    [|X| + 1] corruptions instead of the Byzantine [|X|/2 + 1] (the
-    equivocation lever is gone). Used by experiment E14 to contrast fault
-    models under the same protocol. *)
-val crash_committee_killer :
-  config:Ba_core.Skeleton.config ->
-  designated:(phase:int -> int -> bool) ->
-  (Ba_core.Skeleton.state, Ba_core.Skeleton.msg) Ba_sim.Adversary.t
-
-(** [equivocator ~rng] — corrupts its whole budget in round 1 (random
-    victims) and thereafter sends well-formed but two-faced messages: value
-    [dst mod 2] to each receiver, with decided flags and flips chosen to
-    maximize confusion. A threshold-robustness stress. *)
-val equivocator :
-  rng:Ba_prng.Rng.t ->
-  config:Ba_core.Skeleton.config ->
-  (Ba_core.Skeleton.state, Ba_core.Skeleton.msg) Ba_sim.Adversary.t
-
-(** [lone_finisher ~rng ~config ~target] — tries to push node [target] (and
-    only it) over the [n - t] finish threshold by sending it fake
-    decided-votes while staying silent to everyone else, then lets the rest
-    starve. Exercises the early-termination corner behind Lemma 4; with the
-    extra-phase termination realization, agreement must still hold. *)
-val lone_finisher :
-  rng:Ba_prng.Rng.t ->
-  config:Ba_core.Skeleton.config ->
-  target:int ->
-  (Ba_core.Skeleton.state, Ba_core.Skeleton.msg) Ba_sim.Adversary.t
-
-(** [random_noise ~rng ~corrupt_prob] — each round, with probability
-    [corrupt_prob], corrupts one random live honest node; corrupted nodes
-    send independently random well-formed messages (random nearby phase,
-    random sub, value, decided flag and flip) to every receiver. Fuzzing
-    fodder for parser/threshold robustness. *)
-val random_noise :
-  rng:Ba_prng.Rng.t ->
-  config:Ba_core.Skeleton.config ->
-  corrupt_prob:float ->
   (Ba_core.Skeleton.state, Ba_core.Skeleton.msg) Ba_sim.Adversary.t

@@ -293,9 +293,9 @@ let need_rng = function
   | None -> invalid_arg "Strategy: this genome draws randomness; pass ~rng"
 
 (* Victims of the scheduled (timing x targeting) corruption this round.
-   Each branch reproduces one legacy constructor's draw sequence exactly;
-   byte-identity of the catalog points depends on not reordering the PRNG
-   calls here. *)
+   Each branch fixes the draw sequence of the catalog points that use it;
+   the runs test_setups pins depend on not reordering the PRNG calls
+   here. *)
 let scheduled_victims g ~rng ~designated (view : ('s, 'm) A.view) =
   let pick ~k =
     match g.g_target with
@@ -338,8 +338,8 @@ let scheduled_victims g ~rng ~designated (view : ('s, 'm) A.view) =
       end
       else []
 
-(* [] lowers to the shared no-op action so catalog points return the very
-   value the legacy code returned. *)
+(* [] lowers to the shared no-op action, the very value
+   [Ba_sim.Adversary.silent] returns. *)
 let crash_action = function
   | [] -> A.no_op_action
   | victims -> { A.corrupt = victims; byz_msg = (fun ~src:_ ~dst:_ -> None) }

@@ -1,11 +1,10 @@
 (** Typed adversary-strategy IR (DESIGN.md §16).
 
     Every adversary this repository knows how to field — the protocol-
-    agnostic crash schedules of {!Generic}, the rushing coin attacks of
-    {!Coin_adv}, the skeleton-message attacks of {!Skeleton_adv}, the
-    asynchronous scheduling biases of {!Ba_async.Async_adv}, and the
-    send-omission placement half of a {!Ba_sim.Faults} plan — is a point
-    in one finite, seed-free parameter {!genome}:
+    agnostic crash schedules, the rushing coin attacks, the skeleton-message
+    attacks, the asynchronous scheduling biases, and the send-omission
+    placement half of a {!Ba_sim.Faults} plan — is a point in one finite,
+    seed-free parameter {!genome}:
 
     - {b corruption-timing schedule} ({!timing}): when the budget is spent;
     - {b targeting rule} ({!targeting}): whom it is spent on;
@@ -24,11 +23,12 @@
     {!to_silences}; {!Ba_async.Async_adv.of_strategy} for the async plane):
     every run is a pure function of [(genome, rng seed, engine seed)].
 
-    The legacy constructors in {!Generic}, {!Coin_adv}, {!Skeleton_adv} and
-    {!Ba_async.Async_adv} are thin wrappers over the {!catalog} points
-    below — the interpreter hosts the one copy of each attack's logic, so
-    the named points are byte-identical to the pre-IR implementations (the
-    refactor's correctness bar; see [test/test_strategy.ml]). *)
+    The interpreter hosts the one copy of each attack's logic: every named
+    attack is a catalog point below, lowered on demand. The few remaining
+    constructors in {!Generic}, {!Skeleton_adv} and {!Ba_async.Async_adv}
+    ([static_crash], [committee_killer], [random_scheduler]) are
+    one-line lowerings of their points; [test/test_setups.ml] pins the
+    named points' runs. *)
 
 (** When corruptions happen. *)
 type timing =
@@ -59,7 +59,7 @@ type targeting =
     id ([dst mod (w0+w1) < w0] votes 0); decided flags are asserted on
     non-R1 sub-rounds when [ep_decided_late]; piggybacked coin flips split
     the receivers into blocks of [ep_flip_mod] ids (first half sees [+1]).
-    The legacy equivocator is [{ ep_w0 = 1; ep_w1 = 1; ep_decided_late =
+    {!equivocator_point} uses [{ ep_w0 = 1; ep_w1 = 1; ep_decided_late =
     true; ep_flip_mod = 4 }]. *)
 type equiv_pattern = {
   ep_w0 : int;
@@ -128,36 +128,124 @@ val base : genome
 
 (** {2 Catalog points}
 
-    Each named point reproduces one legacy constructor exactly. *)
+    Each named point is one of the repository's named attacks, fielded by
+    lowering it: {!to_generic} for the crash schedules, {!to_coin} against
+    the standalone coins, {!to_skeleton} against skeleton-message
+    protocols, {!Ba_async.Async_adv.of_strategy} /
+    {!Ba_async.Async_adv.of_strategy_ben_or} for the async biases. Pass
+    [~name] to give the adversary the attack's name (["committee-killer"],
+    ["staggered-crash-2"], ...); {!Ba_experiments.Setups} does this for
+    every named kind. *)
 
+(** Corrupts nobody, sends nothing: the honest run. *)
 val silent_point : genome
 
+(** Corrupts [t] uniformly random nodes in round 1; they stay silent
+    forever. The classic static-adversary baseline. *)
 val static_crash_point : genome
 
+(** Adaptively crashes up to [per_round] random live honest nodes every
+    round until the budget runs out: the adaptive crash-fault pattern of
+    the Bar-Joseph–Ben-Or bound. [per_round < 0] fails {!validate}. *)
 val staggered_crash_point : per_round:int -> genome
 
+(** Deterministically crashes the given nodes at the given round
+    (failure-injection tests); needs no [~rng]. *)
 val crash_at_point : round:int -> victims:int list -> genome
 
+(** Rushing attack on the standalone common coins (Algorithms 1 and 2),
+    lowered by {!to_coin}: the worst case of Theorem 3's setting. It sees
+    the honest designated flips, computes their sum [X], and corrupts the
+    minimum number of majority-side flippers needed to bring the
+    receivers' reachable sums astride zero; corrupted flippers then send
+    [+1] to even-numbered nodes and [-1] to odd ones. When no affordable
+    split exists it stays silent (the common value cannot be changed —
+    corrupting a flipper both removes its flip and adds an equivocation
+    slot, leaving the reachable interval's relevant endpoint unmoved).
+    Conventionally named ["coin-splitter"]. *)
 val coin_splitter_point : genome
 
+(** Statically corrupts its whole budget among designated nodes in round 1
+    and always pushes [toward] (0 or 1; anything else fails {!validate}):
+    measures how far Definition 2(B)'s conditional bias can be driven.
+    Needs [~rng]; conventionally named ["coin-biaser-<toward>"]. *)
 val coin_biaser_point : toward:int -> genome
 
+(** The strongest known adaptive attack on Algorithm 3 and the one that
+    exhibits the worst-case [Θ(t²log n/n)] round shape. Every coin round
+    it:
+
+    + reads the phase's assigned value [b_i] (the value any honest node
+      decided on in round 1 — Lemma 3 makes it unique);
+    + sums the honest committee flips [X] and counts already-corrupted
+      committee members [e];
+    + if the coin, left alone, would come up common and equal to [b_i] (or
+      no [b_i] exists, in which case any common coin unifies the honest
+      nodes), it corrupts the minimum number of majority-side committee
+      flippers needed to make the receivers' sums straddle zero and
+      equivocates [+1]/[-1] to even/odd receivers, keeping the honest nodes
+      split;
+    + otherwise it saves its budget (a common coin opposite to [b_i], or an
+      already-splittable sum, costs it nothing).
+
+    Killing one coin costs [Ω(√s)] corruptions in expectation, so the budget
+    dies after [O(t/√s)] phases — exactly the counting argument in the proof
+    of Theorem 2. *)
 val committee_killer_point : genome
 
+(** The committee killer restricted to {e crash} faults, i.e. the
+    Bar-Joseph–Ben-Or fault model: a node can be crashed mid-round so that
+    its final broadcast reaches only an adversary-chosen subset of
+    receivers, but nothing can be forged. Killing a coin then requires
+    making some receivers' sums straddle zero using deletions only —
+    receiver sums span [X - k, X] after crashing [k] majority-side
+    flippers, so the cost is [|X| + 1] corruptions instead of the Byzantine
+    [|X|/2 + 1] (the equivocation lever is gone). Used by experiment E14 to
+    contrast fault models under the same protocol. *)
 val crash_committee_killer_point : genome
 
+(** Corrupts its whole budget in round 1 (random victims) and thereafter
+    sends well-formed but two-faced messages: value [dst mod 2] to each
+    receiver, with decided flags and flips chosen to maximize confusion. A
+    threshold-robustness stress. *)
 val equivocator_point : genome
 
+(** Tries to push node [target] (and only it) over the [n - t] finish
+    threshold by sending it fake decided-votes while staying silent to
+    everyone else, then lets the rest starve. Exercises the
+    early-termination corner behind Lemma 4; with the extra-phase
+    termination realization, agreement must still hold. *)
 val lone_finisher_point : target:int -> genome
 
+(** Each round, with probability [corrupt_prob], corrupts one random live
+    honest node; corrupted nodes send independently random well-formed
+    messages (random nearby phase, random sub, value, decided flag and
+    flip) to every receiver. Fuzzing fodder for parser/threshold
+    robustness. *)
 val random_noise_point : corrupt_prob:float -> genome
 
+(** Async: delivers a uniformly random pending message each step; corrupts
+    nobody. The "fair but unhelpful" network. *)
 val async_uniform_point : genome
 
+(** Async: starves messages sent by [victims] for as long as the
+    bounded-delay rule allows, delivering everyone else's messages first
+    (FIFO among them). Tests liveness under maximal skew. *)
 val async_delayer_point : victims:int list -> genome
 
+(** Async, Ben-Or only: a pure {e scheduling} attack (no corruptions at
+    all). Using full information about each receiver's vote tallies, it
+    preferentially delivers R-votes for the receiver's minority value and
+    withholds the majority's, feeding every node a balanced diet so nobody
+    assembles the [> (n+t)/2] majority that produces a non-[?] P-vote,
+    forcing a coin flip every round. Bounded delay eventually breaks the
+    starvation, but the expected round count under this scheduler is the
+    "asynchrony is harder" cost made visible with zero Byzantine nodes. *)
 val async_balancer_point : genome
 
+(** Async, Ben-Or only: corrupts the budget at step 1 and keeps injecting
+    contradictory R/P votes (value [dst mod 2]) for the receiver's current
+    round, maximizing disagreement pressure within [t < n/5]. *)
 val async_splitter_point : genome
 
 (** [catalog ~t] — the named sync strategy points E23 measures the searched
@@ -173,8 +261,8 @@ val catalog : t:int -> (string * genome) list
 val validate : genome -> (unit, string) result
 
 (** Canonical compact display name, e.g.
-    ["ir:push1r/burst1/desig"]. Catalog wrappers override it with the
-    legacy names ("committee-killer", ...) via the lowerings' [?name]. *)
+    ["ir:push1r/burst1/desig"]. Named attacks override it with their
+    attack names ("committee-killer", ...) via the lowerings' [?name]. *)
 val name : genome -> string
 
 (** Canonical one-line JSON object (used as the dedup key by {!Search} and

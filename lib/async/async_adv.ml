@@ -5,8 +5,7 @@
 
    Each scheduling bias is one [Strategy.async_bias] point of the
    adversary-strategy IR (DESIGN.md §16); [of_strategy] /
-   [of_strategy_ben_or] are the lowering, and the legacy constructors
-   below are thin wrappers over the named catalog points. *)
+   [of_strategy_ben_or] are the lowering. *)
 
 module Strategy = Ba_adversary.Strategy
 
@@ -110,12 +109,6 @@ let of_strategy_ben_or ?name ?rng genome =
       Async_engine.opaque ~name:nm (splitter_act ~rng:(need_rng rng) ~parity)
 
 let random_scheduler ~rng = of_strategy ~rng Strategy.async_uniform_point
-
-let delayer ~victims = of_strategy (Strategy.async_delayer_point ~victims)
-
-let ben_or_balancer ~rng = of_strategy_ben_or ~rng Strategy.async_balancer_point
-
-let ben_or_splitter ~rng = of_strategy_ben_or ~rng Strategy.async_splitter_point
 
 let byz_flooder ~rng ~forge =
   Async_engine.opaque ~name:"byz-flooder"

@@ -1,11 +1,12 @@
 (** Adversarial schedulers and Byzantine strategies for the asynchronous
     engine.
 
-    Every scheduling bias here is a point of the adversary-strategy IR
-    ({!Ba_adversary.Strategy.async_bias}, DESIGN.md §16); the legacy
-    constructors are thin wrappers over {!of_strategy} /
-    {!of_strategy_ben_or} applied to the named catalog points, so the IR
-    point and the historical behaviour cannot drift. *)
+    Every scheduling bias is a point of the adversary-strategy IR
+    ({!Ba_adversary.Strategy.async_bias}, DESIGN.md §16), fielded by
+    {!of_strategy} / {!of_strategy_ben_or}; the named biases are the
+    [Strategy.async_*_point] catalog points, which the lowerings name
+    ["random-scheduler"], ["delayer"], ["ben-or-balancer"] and
+    ["ben-or-splitter"] by default. *)
 
 (** [of_strategy genome] — lower a genome's async scheduling bias to an
     adversary: [Ab_fifo] (oldest first), [Ab_uniform] (uniform pending
@@ -28,14 +29,11 @@ val of_strategy_ben_or :
   Ba_adversary.Strategy.genome ->
   (Ben_or_async.state, Ben_or_async.msg) Async_engine.adversary
 
-(** [random_scheduler ~rng] — delivers a uniformly random pending message
-    each step; corrupts nobody. The "fair but unhelpful" network. *)
+(** [random_scheduler ~rng] — {!of_strategy} of
+    {!Ba_adversary.Strategy.async_uniform_point}: delivers a uniformly
+    random pending message each step; corrupts nobody. The "fair but
+    unhelpful" network. *)
 val random_scheduler : rng:Ba_prng.Rng.t -> ('s, 'm) Async_engine.adversary
-
-(** [delayer ~victims] — starves messages sent by [victims] for as long as
-    the bounded-delay rule allows, delivering everyone else's messages
-    first (FIFO among them). Tests liveness under maximal skew. *)
-val delayer : victims:int list -> ('s, 'm) Async_engine.adversary
 
 (** [byz_flooder ~rng ~forge] — corrupts its whole budget at step 1; each
     following step delivers a random pending message and injects one forged
@@ -46,22 +44,3 @@ val byz_flooder :
   rng:Ba_prng.Rng.t ->
   forge:(rng:Ba_prng.Rng.t -> step:int -> dst:int -> 'm) ->
   ('s, 'm) Async_engine.adversary
-
-(** [ben_or_balancer ~rng] — pure *scheduling* attack on {!Ben_or_async}
-    (no corruptions at all): using full information about each receiver's
-    vote tallies, it preferentially delivers R-votes for whichever value
-    the receiver has seen {e more} of is withheld — i.e. it feeds every
-    node a balanced diet so nobody assembles the [> (n+t)/2] majority that
-    produces a non-[?] P-vote, forcing a coin flip every round. Bounded
-    delay eventually breaks the starvation, but the expected round count
-    under this scheduler is the "asynchrony is harder" cost made visible
-    with zero Byzantine nodes. *)
-val ben_or_balancer :
-  rng:Ba_prng.Rng.t -> (Ben_or_async.state, Ben_or_async.msg) Async_engine.adversary
-
-(** [ben_or_splitter ~rng] — Byzantine strategy against {!Ben_or_async}:
-    corrupts the budget at step 1 and keeps injecting contradictory
-    R/P votes (value [dst mod 2]) for the receiver's current round,
-    maximizing disagreement pressure within [t < n/5]. *)
-val ben_or_splitter :
-  rng:Ba_prng.Rng.t -> (Ben_or_async.state, Ben_or_async.msg) Async_engine.adversary

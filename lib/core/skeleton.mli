@@ -65,7 +65,7 @@ type config = {
           finished node participates through the whole next phase.
           [`Literal]: the paper's text read literally — broadcast once in
           round 1 of the next phase, then halt. The literal reading is
-          exploitable: see {!Ba_adversary.Skeleton_adv.lone_finisher} and
+          exploitable: see {!Ba_adversary.Strategy.lone_finisher_point} and
           experiment E15, where the remaining honest nodes stall below
           every threshold after a budget-exhausting lone-finish attack. *)
 }

@@ -232,9 +232,11 @@ let e15 ~quick ~seed =
   let run_one ~termination ~seed =
     let inst = Ba_core.Agreement.make ~termination ~n ~t () in
     let adversary =
-      Ba_adversary.Skeleton_adv.lone_finisher
+      Ba_adversary.Strategy.to_skeleton ~name:"lone-finisher-0"
         ~rng:(Ba_prng.Rng.create (Ba_prng.Splitmix64.mix seed))
-        ~config:inst.config ~target:0
+        (Ba_adversary.Strategy.lone_finisher_point ~target:0)
+        ~config:inst.config
+        ~designated:(fun ~phase:_ _ -> false)
     in
     Ba_sim.Engine.run ~record:true
       ~max_rounds:(4 * Ba_core.Agreement.round_bound inst)

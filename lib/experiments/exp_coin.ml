@@ -22,7 +22,10 @@ let cp_pass p = p.cp_ci.Ba_stats.Ci.lo >= p.cp_bound
 let coin_engine_check ~n ~budget ~trials ~seed =
   (* Algorithm 1 in the real engine against the rushing splitter. *)
   let protocol = Ba_core.Common_coin.algorithm1 in
-  let adversary = Ba_adversary.Coin_adv.splitter ~designated:(fun _ -> true) in
+  let adversary =
+    Ba_adversary.Strategy.(to_coin ~name:"coin-splitter" coin_splitter_point)
+      ~designated:(fun _ -> true)
+  in
   let common = ref 0 and ones = ref 0 in
   for trial = 0 to trials - 1 do
     let s = Ba_harness.Experiment.trial_seed ~seed ~trial in
@@ -177,7 +180,10 @@ let e1_c_run ~policy ~domains:_ ~quick ~seed ~lo ~hi =
   let n = e1_c_n ~quick in
   let budget = isqrt n / 2 in
   let protocol = Ba_core.Common_coin.algorithm1 in
-  let adversary = Ba_adversary.Coin_adv.splitter ~designated:(fun _ -> true) in
+  let adversary =
+    Ba_adversary.Strategy.(to_coin ~name:"coin-splitter" coin_splitter_point)
+      ~designated:(fun _ -> true)
+  in
   (* No checker: a common coin is allowed to disagree (that is the measured
      probability), so disagreement is data here, not a violation. *)
   Ba_harness.Experiment.monte_carlo ~policy ~fail_fast:false

@@ -101,7 +101,7 @@ let e21 ~quick ~seed =
     ()
 
 (* E22 — sampled-plane scaling: total bits vs n for ks-sample at degree
-   ceil(sqrt n); the fitted log–log exponent should land near 1.5,
+   floor(sqrt n); the fitted log–log exponent should land near 1.5,
    decisively below the dense plane's 2. *)
 let e22 ~quick ~seed =
   let sizes = if quick then [ 1024; 4096; 16384 ] else [ 1024; 4096; 16384; 65536 ] in
@@ -161,7 +161,7 @@ let e22 ~quick ~seed =
   in
   let fig =
     Ba_harness.Ascii_plot.render ~logx:true ~logy:true
-      ~title:"sampled-plane total bits vs n (degree = ceil(sqrt n))" ~xlabel:"n" ~ylabel:"bits"
+      ~title:"sampled-plane total bits vs n (degree = floor(sqrt n))" ~xlabel:"n" ~ylabel:"bits"
       [ { Ba_harness.Ascii_plot.label = "ks-sample bits"; glyph = 'o'; points };
         { label = "n^1.5 reference"; glyph = '.';
           points =

@@ -2,7 +2,7 @@ type result = { phases : int; rounds : int; corruptions : int }
 
 let splittable ~x' ~i = x' + i >= 0 && x' - i < 0
 
-(* Mirror of Skeleton_adv.split_plan on aggregate counts: honest sum [x]
+(* Mirror of Strategy.split_plan on aggregate counts: honest sum [x]
    over [h] flippers, [e] existing Byzantine committee members, budget cap.
    Returns the number of new corruptions, or None when splitting is
    unaffordable. *)

@@ -1,3 +1,5 @@
+module Strategy = Ba_adversary.Strategy
+
 type protocol_kind =
   | Alg3 of { alpha : float; coin_round : [ `Piggyback | `Extra ] }
   | Las_vegas of { alpha : float }
@@ -47,7 +49,7 @@ let adversary_name = function
   | Equivocator -> "equivocator"
   | Lone_finisher v -> Printf.sprintf "lone-finisher-%d" v
   | Random_noise _ -> "random-noise"
-  | Ir g -> Ba_adversary.Strategy.name g
+  | Ir g -> Strategy.name g
 
 let inputs pattern ~n ~t =
   match pattern with
@@ -61,43 +63,37 @@ let inputs pattern ~n ~t =
       let ones = min (n - t - 1) (n - (2 * t) + ((t + 1) / 2)) in
       Array.init n (fun i -> if i < ones then 1 else 0)
 
-let all_protocol_names =
-  [ "alg3"; "alg3-extra-round"; "las-vegas"; "chor-coan"; "chor-coan-lv"; "rabin";
-    "local-coin"; "phase-king"; "eig"; "ks-broadcast"; "ks-sample"; "word-budget" ]
+(* Each CLI vocabulary is one (name, kind) table; its parser and its name
+   list both read it. *)
+let parse ~what table s =
+  match List.assoc_opt s table with
+  | Some kind -> Ok kind
+  | None ->
+      Error
+        (Printf.sprintf "unknown %s %S; expected one of: %s" what s
+           (String.concat ", " (List.map fst table)))
 
-let all_adversary_names =
-  [ "silent"; "static-crash"; "staggered-crash"; "committee-killer"; "crash-committee-killer";
-    "equivocator"; "lone-finisher"; "random-noise" ]
+let protocol_table =
+  [ ("alg3", Alg3 { alpha = 2.0; coin_round = `Piggyback });
+    ("alg3-extra-round", Alg3 { alpha = 2.0; coin_round = `Extra });
+    ("las-vegas", Las_vegas { alpha = 2.0 }); ("chor-coan", Chor_coan);
+    ("chor-coan-lv", Chor_coan_lv); ("rabin", Rabin); ("local-coin", Local_coin);
+    ("phase-king", Phase_king); ("eig", Eig); ("ks-broadcast", Ks_broadcast);
+    ("ks-sample", Ks_sample { degree = 0 }); ("word-budget", Word_budget { degree = 0 }) ]
 
-let parse_protocol s =
-  match s with
-  | "alg3" -> Ok (Alg3 { alpha = 2.0; coin_round = `Piggyback })
-  | "alg3-extra-round" -> Ok (Alg3 { alpha = 2.0; coin_round = `Extra })
-  | "las-vegas" -> Ok (Las_vegas { alpha = 2.0 })
-  | "chor-coan" -> Ok Chor_coan
-  | "chor-coan-lv" -> Ok Chor_coan_lv
-  | "rabin" -> Ok Rabin
-  | "local-coin" -> Ok Local_coin
-  | "phase-king" -> Ok Phase_king
-  | "eig" -> Ok Eig
-  | "ks-broadcast" -> Ok Ks_broadcast
-  | "ks-sample" -> Ok (Ks_sample { degree = 0 })
-  | "word-budget" -> Ok (Word_budget { degree = 0 })
-  | _ -> Error (Printf.sprintf "unknown protocol %S; expected one of: %s" s
-                  (String.concat ", " all_protocol_names))
+let adversary_table =
+  [ ("silent", Silent); ("static-crash", Static_crash); ("staggered-crash", Staggered_crash 1);
+    ("committee-killer", Committee_killer); ("crash-committee-killer", Crash_committee_killer);
+    ("equivocator", Equivocator); ("lone-finisher", Lone_finisher 0);
+    ("random-noise", Random_noise 0.3) ]
 
-let parse_adversary s =
-  match s with
-  | "silent" -> Ok Silent
-  | "static-crash" -> Ok Static_crash
-  | "staggered-crash" -> Ok (Staggered_crash 1)
-  | "committee-killer" -> Ok Committee_killer
-  | "crash-committee-killer" -> Ok Crash_committee_killer
-  | "equivocator" -> Ok Equivocator
-  | "lone-finisher" -> Ok (Lone_finisher 0)
-  | "random-noise" -> Ok (Random_noise 0.3)
-  | _ -> Error (Printf.sprintf "unknown adversary %S; expected one of: %s" s
-                  (String.concat ", " all_adversary_names))
+let all_protocol_names = List.map fst protocol_table
+
+let all_adversary_names = List.map fst adversary_table
+
+let parse_protocol = parse ~what:"protocol" protocol_table
+
+let parse_adversary = parse ~what:"adversary" adversary_table
 
 type fault_spec = {
   fs_drop : float;
@@ -107,34 +103,6 @@ type fault_spec = {
 }
 
 let no_faults = { fs_drop = 0.0; fs_duplicate = 0.0; fs_corrupt = 0.0; fs_silences = [] }
-
-(* Benign payload corruption for skeleton messages: flip the vote, the
-   decided flag, or a piggybacked coin flip — the message-level "bit flips"
-   that actually influence the phase machine's thresholds. *)
-let mutate_skeleton rng (m : Ba_core.Skeleton.msg) =
-  match Ba_prng.Rng.int rng 3 with
-  | 0 -> { m with m_val = 1 - m.m_val }
-  | 1 -> { m with m_decided = not m.m_decided }
-  | _ -> (
-      match m.m_flip with
-      | Some f -> { m with m_flip = Some (-f) }
-      | None -> { m with m_val = 1 - m.m_val })
-
-let skeleton_fault_plan = function
-  | None -> None
-  | Some s ->
-      Some
-        (Ba_sim.Faults.make ~drop:s.fs_drop ~duplicate:s.fs_duplicate ~corrupt:s.fs_corrupt
-           ?mutate:(if s.fs_corrupt > 0.0 then Some mutate_skeleton else None)
-           ~silences:s.fs_silences ())
-
-let generic_fault_plan = function
-  | None -> None
-  | Some s ->
-      if s.fs_corrupt > 0.0 then
-        invalid_arg "Setups.make: corrupt faults need a skeleton-message protocol";
-      Some
-        (Ba_sim.Faults.make ~drop:s.fs_drop ~duplicate:s.fs_duplicate ~silences:s.fs_silences ())
 
 type run = {
   run_protocol : string;
@@ -151,91 +119,130 @@ type run = {
     Ba_sim.Engine.outcome;
 }
 
-(* Adversary corruption cap: E18/E19 split the fault budget t between the
-   Byzantine adversary and the injected benign faults. *)
-let cap_adversary cap adv =
-  match cap with None -> adv | Some limit -> Ba_adversary.Generic.capped ~limit adv
+(* The one mapping from a named adversary kind to its strategy genome. *)
+let genome = function
+  | Silent -> Strategy.silent_point
+  | Static_crash -> Strategy.static_crash_point
+  | Staggered_crash per_round -> Strategy.staggered_crash_point ~per_round
+  | Committee_killer -> Strategy.committee_killer_point
+  | Crash_committee_killer -> Strategy.crash_committee_killer_point
+  | Equivocator -> Strategy.equivocator_point
+  | Lone_finisher target -> Strategy.lone_finisher_point ~target
+  | Random_noise corrupt_prob -> Strategy.random_noise_point ~corrupt_prob
+  | Ir g -> g
+
+(* What a protocol's messages let an adversary say: skeleton messages,
+   judged against the protocol's designated set, or nothing it could
+   forge. *)
+type (_, _) family =
+  | Skeleton : {
+      config : Ba_core.Skeleton.config;
+      designated : phase:int -> int -> bool;
+    }
+      -> (Ba_core.Skeleton.state, Ba_core.Skeleton.msg) family
+  | Opaque : ('s, 'm) family
 
 let adversary_rng seed = Ba_prng.Rng.create (Ba_prng.Splitmix64.mix (Int64.lognot seed))
 
-(* Generic (message-agnostic) adversaries, or None if the kind needs
+(* The one lowering rule: a crash genome forges nothing, so it lowers
+   message-agnostically and reaches every protocol; any other tactic needs
    skeleton messages. *)
-let generic_adversary kind ~seed : ('s, 'm) Ba_sim.Adversary.t option =
-  match kind with
-  | Silent -> Some Ba_adversary.Generic.silent
-  | Static_crash -> Some (Ba_adversary.Generic.static_crash ~rng:(adversary_rng seed))
-  | Staggered_crash k ->
-      Some (Ba_adversary.Generic.staggered_crash ~rng:(adversary_rng seed) ~per_round:k)
-  | Ir g -> (
-      (* Only crash genomes are message-agnostic; everything else forges
-         skeleton messages and must go through [skeleton_adversary]. *)
-      match g.Ba_adversary.Strategy.g_tactic with
-      | Ba_adversary.Strategy.Crash ->
-          Some (Ba_adversary.Strategy.to_generic ~rng:(adversary_rng seed) g)
-      | _ -> None)
-  | Committee_killer | Crash_committee_killer | Equivocator | Lone_finisher _ | Random_noise _ ->
-      None
+let lower : type s m. (s, m) family -> adversary_kind -> seed:int64 -> (s, m) Ba_sim.Adversary.t =
+ fun family kind ~seed ->
+  let g = genome kind and name = adversary_name kind and rng = adversary_rng seed in
+  match (g.Strategy.g_tactic, family) with
+  | Strategy.Crash, _ -> Strategy.to_generic ~name ~rng g
+  | _, Skeleton { config; designated } -> Strategy.to_skeleton ~name ~rng g ~config ~designated
+  | _, Opaque ->
+      invalid_arg
+        (Printf.sprintf "Setups.make: adversary %s needs a skeleton-message protocol" name)
 
-let skeleton_adversary kind ~config ~designated ~seed :
-    (Ba_core.Skeleton.state, Ba_core.Skeleton.msg) Ba_sim.Adversary.t =
-  match generic_adversary kind ~seed with
-  | Some adv -> adv
-  | None -> (
-      match kind with
-      | Committee_killer -> Ba_adversary.Skeleton_adv.committee_killer ~config ~designated
-      | Crash_committee_killer ->
-          Ba_adversary.Skeleton_adv.crash_committee_killer ~config ~designated
-      | Equivocator -> Ba_adversary.Skeleton_adv.equivocator ~rng:(adversary_rng seed) ~config
-      | Lone_finisher target ->
-          Ba_adversary.Skeleton_adv.lone_finisher ~rng:(adversary_rng seed) ~config ~target
-      | Random_noise p ->
-          Ba_adversary.Skeleton_adv.random_noise ~rng:(adversary_rng seed) ~config
-            ~corrupt_prob:p
-      | Ir g -> Ba_adversary.Strategy.to_skeleton ~rng:(adversary_rng seed) g ~config ~designated
-      | Silent | Static_crash | Staggered_crash _ -> assert false)
+(* Benign payload corruption for skeleton messages: flip the vote, the
+   decided flag, or a piggybacked coin flip — the message-level "bit flips"
+   that actually influence the phase machine's thresholds. *)
+let mutate_skeleton rng (m : Ba_core.Skeleton.msg) =
+  match Ba_prng.Rng.int rng 3 with
+  | 0 -> { m with m_val = 1 - m.m_val }
+  | 1 -> { m with m_decided = not m.m_decided }
+  | _ -> (
+      match m.m_flip with
+      | Some f -> { m with m_flip = Some (-f) }
+      | None -> { m with m_val = 1 - m.m_val })
 
-let skeleton_run ~faults ~cap ~protocol ~config ~designated ~adversary ~n ~t ~round_bound =
-  let rpp = Ba_core.Skeleton.rounds_per_phase config in
-  let faults = skeleton_fault_plan faults in
-  { run_protocol = protocol.Ba_sim.Protocol.name;
+let mutator : type s m. (s, m) family -> (Ba_prng.Rng.t -> m -> m) option = function
+  | Skeleton _ -> Some mutate_skeleton
+  | Opaque -> None
+
+(* The fault plan of a spec. [mutate] realizes payload corruption, so a
+   protocol without one rejects [fs_corrupt > 0]. *)
+let fault_plan ?mutate = function
+  | None -> None
+  | Some s ->
+      if s.fs_corrupt > 0.0 && Option.is_none mutate then
+        invalid_arg "Setups.make: corrupt faults need a skeleton-message protocol";
+      Some
+        (Ba_sim.Faults.make ~drop:s.fs_drop ~duplicate:s.fs_duplicate ~corrupt:s.fs_corrupt
+           ?mutate:(if s.fs_corrupt > 0.0 then mutate else None)
+           ~silences:s.fs_silences ())
+
+(* One protocol instance for one run seed. *)
+type ('s, 'm) instance = {
+  protocol : ('s, 'm) Ba_sim.Protocol.t;
+  family : ('s, 'm) family;
+  round_bound : int;
+  rounds_per_phase : int option;
+}
+
+let skeleton ~designated ~round_bound protocol config =
+  { protocol;
+    family = Skeleton { config; designated };
+    round_bound;
+    rounds_per_phase = Some (Ba_core.Skeleton.rounds_per_phase config) }
+
+let opaque ~round_bound ?rounds_per_phase protocol =
+  { protocol; family = Opaque; round_bound; rounds_per_phase }
+
+let no_flipper ~phase:_ _ = false
+
+(* The one synchronous builder. [instance] is called once per exec (Rabin's
+   dealer stream differs per seed) and once up front with seed 0, which
+   names the run and rejects an incompatible adversary at make time. The
+   corruption cap lets E18/E19 split the fault budget t between the
+   Byzantine adversary and the injected benign faults. *)
+let sync_run ?(topology = Ba_sim.Topology.Dense) ~faults ~cap ~adversary ~n ~t instance =
+  let probe = instance ~seed:0L in
+  ignore (lower probe.family adversary ~seed:0L);
+  let faults = fault_plan ?mutate:(mutator probe.family) faults in
+  { run_protocol = probe.protocol.Ba_sim.Protocol.name;
     run_adversary = adversary_name adversary;
-    rounds_per_phase = Some rpp;
-    default_max_rounds = round_bound;
+    rounds_per_phase = probe.rounds_per_phase;
+    default_max_rounds = probe.round_bound;
     exec =
       (fun ?max_rounds ?congest_limit_bits ~record ~inputs ~seed () ->
-        let max_rounds = Option.value max_rounds ~default:round_bound in
-        let adv = cap_adversary cap (skeleton_adversary adversary ~config ~designated ~seed) in
-        Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults ~record ~protocol
+        let max_rounds = Option.value max_rounds ~default:probe.round_bound in
+        let { protocol; family; _ } = instance ~seed in
+        let adv = lower family adversary ~seed in
+        let adv =
+          match cap with None -> adv | Some limit -> Ba_adversary.Generic.capped ~limit adv
+        in
+        Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults ~topology ~record ~protocol
           ~adversary:adv ~n ~t ~inputs ~seed ()) }
 
-let generic_run ?(topology = Ba_sim.Topology.Dense) ~faults ~cap ~protocol ~adversary ~n ~t
-    ~round_bound ~rounds_per_phase () =
-  match generic_adversary adversary ~seed:0L with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Setups.make: adversary %s needs a skeleton-message protocol"
-           (adversary_name adversary))
-  | Some _ ->
-      let faults = generic_fault_plan faults in
-      { run_protocol = protocol.Ba_sim.Protocol.name;
-        run_adversary = adversary_name adversary;
-        rounds_per_phase;
-        default_max_rounds = round_bound;
-        exec =
-          (fun ?max_rounds ?congest_limit_bits ~record ~inputs ~seed () ->
-            let max_rounds = Option.value max_rounds ~default:round_bound in
-            let adv = cap_adversary cap (Option.get (generic_adversary adversary ~seed)) in
-            Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults ~topology ~record
-              ~protocol ~adversary:adv ~n ~t ~inputs ~seed ()) }
-
 let make_impl ~faults ~cap ~protocol ~adversary ~n ~t =
+  let run ?topology instance = sync_run ?topology ~faults ~cap ~adversary ~n ~t instance in
+  let fixed inst ~seed:_ = inst in
+  let sampled degree =
+    let degree = if degree = 0 then Ba_sparse.Ks_agreement.default_degree ~n else degree in
+    (degree, Ba_sim.Topology.Sampled { degree })
+  in
   match protocol with
   | Alg3 { alpha; coin_round } ->
       let inst = Ba_core.Agreement.make ~alpha ~coin_round ~n ~t () in
-      skeleton_run ~faults ~cap ~protocol:inst.protocol ~config:inst.config
-        ~designated:(fun ~phase v -> Ba_core.Agreement.is_flipper inst ~phase v)
-        ~adversary ~n ~t
-        ~round_bound:(Ba_core.Agreement.round_bound inst)
+      run
+        (fixed
+           (skeleton inst.protocol inst.config
+              ~designated:(fun ~phase v -> Ba_core.Agreement.is_flipper inst ~phase v)
+              ~round_bound:(Ba_core.Agreement.round_bound inst)))
   | Las_vegas { alpha } ->
       let inst = Ba_core.Las_vegas.make ~alpha ~n ~t () in
       let designated ~phase v =
@@ -247,8 +254,7 @@ let make_impl ~faults ~cap ~protocol ~adversary ~n ~t =
       let round_bound =
         64 + (8 * int_of_float (ceil (Ba_core.Las_vegas.expected_round_bound inst)))
       in
-      skeleton_run ~faults ~cap ~protocol:inst.protocol ~config:inst.config ~designated ~adversary
-        ~n ~t ~round_bound
+      run (fixed (skeleton inst.protocol inst.config ~designated ~round_bound))
   | Chor_coan | Chor_coan_lv ->
       let cycle = protocol = Chor_coan_lv in
       let inst = Ba_baselines.Chor_coan.make ~cycle ~n ~t () in
@@ -256,73 +262,46 @@ let make_impl ~faults ~cap ~protocol ~adversary ~n ~t =
         let base = Ba_baselines.Chor_coan.round_bound inst in
         if cycle then 64 + (8 * base) else base
       in
-      skeleton_run ~faults ~cap ~protocol:inst.protocol ~config:inst.config
-        ~designated:(fun ~phase v -> Ba_baselines.Chor_coan.designated inst ~phase v)
-        ~adversary ~n ~t ~round_bound
+      run
+        (fixed
+           (skeleton inst.protocol inst.config ~round_bound
+              ~designated:(fun ~phase v -> Ba_baselines.Chor_coan.designated inst ~phase v)))
   | Rabin ->
       (* Dealer seed must differ per run seed but be shared by all nodes:
-         a fresh instance is built inside exec. *)
-      let probe = Ba_baselines.Rabin.make ~n ~t ~dealer_seed:0L () in
-      let rpp = Ba_core.Skeleton.rounds_per_phase probe.config in
-      let round_bound = Ba_baselines.Rabin.round_bound probe in
-      let fault_plan = skeleton_fault_plan faults in
-      { run_protocol = probe.protocol.Ba_sim.Protocol.name;
-        run_adversary = adversary_name adversary;
-        rounds_per_phase = Some rpp;
-        default_max_rounds = round_bound;
-        exec =
-          (fun ?max_rounds ?congest_limit_bits ~record ~inputs ~seed () ->
-            let dealer_seed = Ba_prng.Splitmix64.mix (Int64.add seed 0x5EEDL) in
-            let inst = Ba_baselines.Rabin.make ~n ~t ~dealer_seed () in
-            let max_rounds = Option.value max_rounds ~default:round_bound in
-            let adv =
-              cap_adversary cap
-                (skeleton_adversary adversary ~config:inst.config
-                   ~designated:(fun ~phase:_ _ -> false)
-                   ~seed)
-            in
-            Ba_sim.Engine.run ~max_rounds ?congest_limit_bits ?faults:fault_plan ~record
-              ~protocol:inst.protocol ~adversary:adv ~n ~t ~inputs ~seed ()) }
+         a fresh instance is built for every exec. *)
+      run (fun ~seed ->
+          let dealer_seed = Ba_prng.Splitmix64.mix (Int64.add seed 0x5EEDL) in
+          let inst = Ba_baselines.Rabin.make ~n ~t ~dealer_seed () in
+          skeleton inst.protocol inst.config ~designated:no_flipper
+            ~round_bound:(Ba_baselines.Rabin.round_bound inst))
   | Local_coin ->
       let inst = Ba_baselines.Local_coin.make ~n ~t () in
-      skeleton_run ~faults ~cap ~protocol:inst.protocol ~config:inst.config
-        ~designated:(fun ~phase:_ _ -> false)
-        ~adversary ~n ~t
-        ~round_bound:(Ba_sim.Protocol.default_round_cap ~n)
+      run
+        (fixed
+           (skeleton inst.protocol inst.config ~designated:no_flipper
+              ~round_bound:(Ba_sim.Protocol.default_round_cap ~n)))
   | Phase_king ->
       let protocol = Ba_baselines.Phase_king.make ~n ~t in
-      generic_run ~faults ~cap ~protocol ~adversary ~n ~t
-        ~round_bound:(Ba_baselines.Phase_king.rounds ~t + 2)
-        ~rounds_per_phase:(Some 2) ()
+      run
+        (fixed
+           (opaque protocol ~round_bound:(Ba_baselines.Phase_king.rounds ~t + 2)
+              ~rounds_per_phase:2))
   | Eig ->
       if n > 10 then invalid_arg "Setups.make: eig is exponential; use n <= 10";
-      generic_run ~faults ~cap ~protocol:Ba_baselines.Eig.protocol ~adversary ~n ~t
-        ~round_bound:(Ba_baselines.Eig.rounds ~t + 1)
-        ~rounds_per_phase:None ()
+      run (fixed (opaque Ba_baselines.Eig.protocol ~round_bound:(Ba_baselines.Eig.rounds ~t + 1)))
   | Ks_broadcast ->
       (* Dense control arm: same dynamics as ks-sample with a full-degree
          sample on the dense plane. *)
       let inst = Ba_sparse.Ks_agreement.make ~name:"ks-broadcast" ~degree:(n - 1) ~n ~t () in
-      generic_run ~faults ~cap ~protocol:inst.protocol ~adversary ~n ~t
-        ~round_bound:inst.round_bound ~rounds_per_phase:None ()
+      run (fixed (opaque inst.protocol ~round_bound:inst.round_bound))
   | Ks_sample { degree } ->
-      let degree =
-        if degree = 0 then Ba_sparse.Ks_agreement.default_degree ~n else degree
-      in
+      let degree, topology = sampled degree in
       let inst = Ba_sparse.Ks_agreement.make ~degree ~n ~t () in
-      generic_run
-        ~topology:(Ba_sim.Topology.Sampled { degree })
-        ~faults ~cap ~protocol:inst.protocol ~adversary ~n ~t ~round_bound:inst.round_bound
-        ~rounds_per_phase:None ()
+      run ~topology (fixed (opaque inst.protocol ~round_bound:inst.round_bound))
   | Word_budget { degree } ->
-      let degree =
-        if degree = 0 then Ba_sparse.Ks_agreement.default_degree ~n else degree
-      in
+      let degree, topology = sampled degree in
       let inst = Ba_sparse.Word_budget.make ~degree ~n ~t () in
-      generic_run
-        ~topology:(Ba_sim.Topology.Sampled { degree })
-        ~faults ~cap ~protocol:inst.protocol ~adversary ~n ~t ~round_bound:inst.round_bound
-        ~rounds_per_phase:None ()
+      run ~topology (fixed (opaque inst.protocol ~round_bound:inst.round_bound))
 
 let make ~protocol ~adversary ~n ~t = make_impl ~faults:None ~cap:None ~protocol ~adversary ~n ~t
 
@@ -357,30 +336,27 @@ let async_scheduler_name = function
   | Balancer_sched -> "balancer"
   | Splitter_sched -> "splitter"
 
-let all_async_protocol_names = [ "ben-or"; "rbc" ]
+let async_protocol_table = [ ("ben-or", Async_ben_or); ("rbc", Async_bracha { broadcaster = 0 }) ]
 
-let all_async_scheduler_names = [ "fifo"; "random"; "delayer"; "balancer"; "splitter" ]
+let async_scheduler_table =
+  [ ("fifo", Fifo_sched); ("random", Random_sched); ("delayer", Delayer_sched [ 0 ]);
+    ("balancer", Balancer_sched); ("splitter", Splitter_sched) ]
 
-let parse_async_protocol s =
-  match s with
-  | "ben-or" -> Ok Async_ben_or
-  | "rbc" -> Ok (Async_bracha { broadcaster = 0 })
-  | _ ->
-      Error
-        (Printf.sprintf "unknown async protocol %S; expected one of: %s" s
-           (String.concat ", " all_async_protocol_names))
+let all_async_protocol_names = List.map fst async_protocol_table
 
-let parse_async_scheduler s =
-  match s with
-  | "fifo" -> Ok Fifo_sched
-  | "random" -> Ok Random_sched
-  | "delayer" -> Ok (Delayer_sched [ 0 ])
-  | "balancer" -> Ok Balancer_sched
-  | "splitter" -> Ok Splitter_sched
-  | _ ->
-      Error
-        (Printf.sprintf "unknown async scheduler %S; expected one of: %s" s
-           (String.concat ", " all_async_scheduler_names))
+let all_async_scheduler_names = List.map fst async_scheduler_table
+
+let parse_async_protocol = parse ~what:"async protocol" async_protocol_table
+
+let parse_async_scheduler = parse ~what:"async scheduler" async_scheduler_table
+
+(* The one mapping from a scheduler kind to its strategy genome. *)
+let scheduler_genome = function
+  | Fifo_sched -> Strategy.base
+  | Random_sched -> Strategy.async_uniform_point
+  | Delayer_sched victims -> Strategy.async_delayer_point ~victims
+  | Balancer_sched -> Strategy.async_balancer_point
+  | Splitter_sched -> Strategy.async_splitter_point
 
 (* Benign payload corruption for Ben-Or messages, through the classify /
    mk_* introspection surface: flip the vote (R/P/D); a [?] P-vote becomes
@@ -398,14 +374,6 @@ let mutate_bracha _rng (m : Ba_async.Bracha_rbc.msg) =
   | Ba_async.Bracha_rbc.Init v -> Ba_async.Bracha_rbc.Init (1 - v)
   | Ba_async.Bracha_rbc.Echo v -> Ba_async.Bracha_rbc.Echo (1 - v)
   | Ba_async.Bracha_rbc.Ready v -> Ba_async.Bracha_rbc.Ready (1 - v)
-
-let async_fault_plan ~mutate = function
-  | None -> None
-  | Some s ->
-      Some
-        (Ba_sim.Faults.make ~drop:s.fs_drop ~duplicate:s.fs_duplicate ~corrupt:s.fs_corrupt
-           ?mutate:(if s.fs_corrupt > 0.0 then Some mutate else None)
-           ~silences:s.fs_silences ())
 
 type async_run = {
   arun_protocol : string;
@@ -436,44 +404,24 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
   | (Balancer_sched | Splitter_sched) when protocol <> Async_ben_or ->
       invalid_arg "Setups.make_async: balancer/splitter schedulers target ben-or"
   | Fifo_sched | Random_sched | Balancer_sched | Splitter_sched -> ());
-  let arun_scheduler = async_scheduler_name scheduler in
+  let genome = scheduler_genome scheduler in
+  let build protocol_impl ~mutate ~lower =
+    let plan = fault_plan ~mutate faults in
+    { arun_protocol = async_protocol_name protocol;
+      arun_scheduler = async_scheduler_name scheduler;
+      arun_exec =
+        (fun ?max_steps ?max_delay ?trace ~inputs ~seed () ->
+          let adversary = lower ~rng:(scheduler_rng seed) genome in
+          Ba_async.Async_engine.to_run
+            (Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace
+               ~protocol:protocol_impl ~adversary ~n ~t ~inputs ~seed ())) }
+  in
   match protocol with
   | Async_ben_or ->
-      let p = Ba_async.Ben_or_async.make ~n ~t in
-      let plan = async_fault_plan ~mutate:mutate_ben_or faults in
-      { arun_protocol = async_protocol_name protocol;
-        arun_scheduler;
-        arun_exec =
-          (fun ?max_steps ?max_delay ?trace ~inputs ~seed () ->
-            let rng = scheduler_rng seed in
-            let adversary =
-              match scheduler with
-              | Fifo_sched -> Ba_async.Async_engine.fifo
-              | Random_sched -> Ba_async.Async_adv.random_scheduler ~rng
-              | Delayer_sched victims -> Ba_async.Async_adv.delayer ~victims
-              | Balancer_sched -> Ba_async.Async_adv.ben_or_balancer ~rng
-              | Splitter_sched -> Ba_async.Async_adv.ben_or_splitter ~rng
-            in
-            Ba_async.Async_engine.to_run
-              (Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace
-                 ~protocol:p ~adversary ~n ~t ~inputs ~seed ())) }
+      build (Ba_async.Ben_or_async.make ~n ~t) ~mutate:mutate_ben_or
+        ~lower:(fun ~rng g -> Ba_async.Async_adv.of_strategy_ben_or ~rng g)
   | Async_bracha { broadcaster } ->
       if broadcaster < 0 || broadcaster >= n then
         invalid_arg (Printf.sprintf "Setups.make_async: broadcaster %d outside [0,%d)" broadcaster n);
-      let p = Ba_async.Bracha_rbc.make ~broadcaster in
-      let plan = async_fault_plan ~mutate:mutate_bracha faults in
-      { arun_protocol = async_protocol_name protocol;
-        arun_scheduler;
-        arun_exec =
-          (fun ?max_steps ?max_delay ?trace ~inputs ~seed () ->
-            let rng = scheduler_rng seed in
-            let adversary =
-              match scheduler with
-              | Fifo_sched -> Ba_async.Async_engine.fifo
-              | Random_sched -> Ba_async.Async_adv.random_scheduler ~rng
-              | Delayer_sched victims -> Ba_async.Async_adv.delayer ~victims
-              | Balancer_sched | Splitter_sched -> assert false (* rejected above *)
-            in
-            Ba_async.Async_engine.to_run
-              (Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace
-                 ~protocol:p ~adversary ~n ~t ~inputs ~seed ())) }
+      build (Ba_async.Bracha_rbc.make ~broadcaster) ~mutate:mutate_bracha
+        ~lower:(fun ~rng g -> Ba_async.Async_adv.of_strategy ~rng g)

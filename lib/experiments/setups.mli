@@ -21,11 +21,21 @@ type protocol_kind =
   | Ks_sample of { degree : int }
       (** King–Saia-style √n-sampled agreement on a
           {!Ba_sim.Topology.Sampled} plane; [degree = 0] means the default
-          ⌈√n⌉ *)
+          ⌊√n⌋ ({!Ba_sparse.Ks_agreement.default_degree}) *)
   | Word_budget of { degree : int }
       (** heartbeat-gated word-budget variant of [Ks_sample]; [degree = 0]
-          means the default ⌈√n⌉ *)
+          means the default ⌊√n⌋ *)
 
+(** A named adversary. Every kind is a point of the strategy IR
+    (DESIGN.md §16): the named kinds are the
+    {!Ba_adversary.Strategy} catalog points of the same name, and all kinds
+    lower by one rule. A [Crash]-tactic genome lowers message-agnostically
+    ({!Ba_adversary.Strategy.to_generic}), so it reaches every protocol,
+    the sparse plane included; any other tactic lowers against
+    skeleton-message protocols via {!Ba_adversary.Strategy.to_skeleton}
+    with the protocol's real designated-flipper set. The adversary's
+    randomness is [Rng.create (Splitmix64.mix (Int64.lognot seed))] of the
+    run seed. *)
 type adversary_kind =
   | Silent
   | Static_crash
@@ -37,11 +47,7 @@ type adversary_kind =
   | Lone_finisher of int  (** target node *)
   | Random_noise of float  (** per-round corruption probability *)
   | Ir of Ba_adversary.Strategy.genome
-      (** any strategy-IR point (DESIGN.md §16): crash genomes lower
-          message-agnostically (so they reach every protocol, including the
-          sparse plane), all other tactics lower against skeleton-message
-          protocols via {!Ba_adversary.Strategy.to_skeleton} with the
-          protocol's real designated-flipper set. Not CLI-parseable — built
+      (** any strategy-IR point. Not CLI-parseable — built
           programmatically ([ba_attack], E23). *)
 
 type input_pattern = Unanimous of int | Split | Near_threshold
@@ -136,6 +142,10 @@ type async_protocol_kind =
   | Async_ben_or  (** Ben-Or binary consensus ([n > 5t]) *)
   | Async_bracha of { broadcaster : int }  (** Bracha reliable broadcast ([n > 3t]) *)
 
+(** A named scheduler. Each kind is the {!Ba_adversary.Strategy} async
+    catalog point of the same name ([Ab_fifo] for [Fifo_sched]), lowered by
+    {!Ba_async.Async_adv.of_strategy_ben_or} against Ben-Or and
+    {!Ba_async.Async_adv.of_strategy} against Bracha. *)
 type async_scheduler_kind =
   | Fifo_sched  (** oldest pending message first *)
   | Random_sched  (** uniformly random pending message *)

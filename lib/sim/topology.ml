@@ -12,8 +12,9 @@
    - [Committees { count }]: round-robin committee-to-committee links —
      node [v] belongs to committee [v mod count] and reaches its own
      committee plus the round's designated committee [(round - 1) mod
-     count]. No randomness; used for committee-routed baselines and the
-     small-instance verifier's topology tests.
+     count]. No randomness; no protocol or experiment routes over it —
+     only the topology tests (test_sparse, test_restricted, test_prng)
+     use it.
 
    Sampling draws nothing from the per-node protocol streams or the
    adversary stream: corrupting a node never perturbs anyone's recipient

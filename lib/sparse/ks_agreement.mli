@@ -36,7 +36,8 @@ type inst = {
   round_bound : int;  (** suggested engine round cap *)
 }
 
-(** ⌈√n⌉ clamped to [1, n-1] — the King–Saia sample size. *)
+(** ⌊√n⌋ (the floor square root: 90 at n = 8192) clamped to [1, n-1] —
+    the King–Saia sample size. *)
 val default_degree : n:int -> int
 
 val default_decide_streak : int

@@ -2,6 +2,7 @@
    committee-killer's planning logic. *)
 
 open Ba_experiments
+module Strategy = Ba_adversary.Strategy
 
 let mk_view ?(round = 1) ?(n = 8) ?(t = 3) ?(corrupted = None) ?(halted = None)
     ?(honest_msgs = None) () : (unit, Ba_core.Skeleton.msg) Ba_sim.Adversary.view =
@@ -28,7 +29,9 @@ let test_static_crash_round1_only () =
   Alcotest.(check (list int)) "silent after round 1" [] a2.corrupt
 
 let test_staggered_crash_rate () =
-  let adv = Ba_adversary.Generic.staggered_crash ~rng:(Ba_prng.Rng.create 2L) ~per_round:2 in
+  let adv =
+    Strategy.to_generic ~rng:(Ba_prng.Rng.create 2L) (Strategy.staggered_crash_point ~per_round:2)
+  in
   let a = adv.act (mk_view ~round:1 ()) in
   Alcotest.(check int) "two per round" 2 (List.length a.corrupt);
   (* never picks corrupted or halted nodes *)
@@ -44,7 +47,7 @@ let test_staggered_crash_rate () =
   done
 
 let test_crash_at () =
-  let adv = Ba_adversary.Generic.crash_at ~round:3 ~victims:[ 1; 2 ] in
+  let adv = Strategy.to_generic (Strategy.crash_at_point ~round:3 ~victims:[ 1; 2 ]) in
   Alcotest.(check (list int)) "before" [] (adv.act (mk_view ~round:2 ())).corrupt;
   Alcotest.(check (list int)) "at round" [ 1; 2 ] (adv.act (mk_view ~round:3 ())).corrupt;
   Alcotest.(check (list int)) "after" [] (adv.act (mk_view ~round:4 ())).corrupt
@@ -131,7 +134,7 @@ let test_crash_killer_weaker_than_byzantine () =
   in
   let crash =
     mean (fun () ->
-        Ba_adversary.Skeleton_adv.crash_committee_killer ~config:inst.config ~designated)
+        Strategy.to_skeleton Strategy.crash_committee_killer_point ~config:inst.config ~designated)
   in
   let byz =
     mean (fun () ->
@@ -154,7 +157,9 @@ let test_crash_killer_only_replays_real_messages () =
   for seed = 1 to 10 do
     let o =
       Ba_sim.Engine.run ~record:true ~max_rounds:2000 ~protocol:inst.protocol
-        ~adversary:(Ba_adversary.Skeleton_adv.crash_committee_killer ~config:inst.config ~designated)
+        ~adversary:
+          (Strategy.to_skeleton Strategy.crash_committee_killer_point ~config:inst.config
+             ~designated)
         ~n ~t ~inputs:(Setups.inputs Setups.Split ~n ~t) ~seed:(Int64.of_int seed) ()
     in
     Alcotest.(check (list string)) "clean" []
@@ -165,7 +170,10 @@ let test_crash_killer_only_replays_real_messages () =
 let test_equivocator_full_budget_up_front () =
   let n = 40 and t = 13 in
   let inst = Ba_core.Agreement.make ~n ~t () in
-  let adv = Ba_adversary.Skeleton_adv.equivocator ~rng:(Ba_prng.Rng.create 9L) ~config:inst.config in
+  let adv =
+    Strategy.to_skeleton ~rng:(Ba_prng.Rng.create 9L) Strategy.equivocator_point
+      ~config:inst.config ~designated:(fun ~phase:_ _ -> false)
+  in
   let o =
     Ba_sim.Engine.run ~record:true ~max_rounds:500 ~protocol:inst.protocol ~adversary:adv ~n ~t
       ~inputs:(Setups.inputs Setups.Split ~n ~t) ~seed:9L ()
@@ -190,7 +198,7 @@ let test_splitter_optimality_on_crafted_flips () =
     if Ba_core.Common_coin.commons ~flippers:n ~sum ~budget = None then incr predicted;
     let o =
       Ba_sim.Engine.run ~max_rounds:2 ~protocol:Ba_core.Common_coin.algorithm1
-        ~adversary:(Ba_adversary.Coin_adv.splitter ~designated:(fun _ -> true))
+        ~adversary:(Strategy.to_coin Strategy.coin_splitter_point ~designated:(fun _ -> true))
         ~n ~t:budget ~inputs:(Array.make n 0) ~seed ()
     in
     if not (Ba_sim.Engine.agreement_holds o) then incr successes
@@ -202,8 +210,9 @@ let test_biaser_biases () =
   let ones = ref 0 in
   for s = 1 to 60 do
     let adv =
-      Ba_adversary.Coin_adv.biaser ~designated:(fun _ -> true) ~toward:1
-        ~rng:(Ba_prng.Rng.create (Int64.of_int s))
+      Strategy.to_coin ~rng:(Ba_prng.Rng.create (Int64.of_int s))
+        (Strategy.coin_biaser_point ~toward:1)
+        ~designated:(fun _ -> true)
     in
     let o =
       Ba_sim.Engine.run ~max_rounds:2 ~protocol:Ba_core.Common_coin.algorithm1 ~adversary:adv
@@ -224,7 +233,8 @@ let prop_generic_adversaries_respect_interfaces =
       QCheck.assume (t >= 1);
       let advs =
         [ Ba_adversary.Generic.static_crash ~rng:(Ba_prng.Rng.create seed);
-          Ba_adversary.Generic.staggered_crash ~rng:(Ba_prng.Rng.create seed) ~per_round:2 ]
+          Strategy.to_generic ~rng:(Ba_prng.Rng.create seed)
+            (Strategy.staggered_crash_point ~per_round:2) ]
       in
       List.for_all
         (fun (adv : (unit, Ba_core.Skeleton.msg) Ba_sim.Adversary.t) ->

@@ -219,9 +219,11 @@ let test_literal_termination_exploitable () =
   let run_with ~termination ~seed =
     let inst = Ba_core.Agreement.make ~termination ~n ~t () in
     let adversary =
-      Ba_adversary.Skeleton_adv.lone_finisher
+      Ba_adversary.Strategy.to_skeleton
         ~rng:(Ba_prng.Rng.create (Int64.mul seed 3L))
-        ~config:inst.config ~target:0
+        (Ba_adversary.Strategy.lone_finisher_point ~target:0)
+        ~config:inst.config
+        ~designated:(fun ~phase:_ _ -> false)
     in
     Ba_sim.Engine.run ~max_rounds:(4 * Ba_core.Agreement.round_bound inst)
       ~protocol:inst.protocol ~adversary ~n ~t ~inputs ~seed ()

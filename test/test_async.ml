@@ -2,6 +2,7 @@
    protocol's agreement/validity under adversarial scheduling. *)
 
 open Ba_async
+module Strategy = Ba_adversary.Strategy
 
 (* A trivial async protocol: decide on the first message value received;
    node 0 broadcasts its input. *)
@@ -52,7 +53,8 @@ let test_bounded_delay_forces_delivery () =
   let n = 5 in
   let o =
     Async_engine.run ~max_delay:10 ~protocol:echo
-      ~adversary:(Async_adv.delayer ~victims:[ 0 ]) ~n ~t:0 ~inputs:[| 1; 0; 0; 0; 0 |]
+      ~adversary:(Async_adv.of_strategy (Strategy.async_delayer_point ~victims:[ 0 ]))
+      ~n ~t:0 ~inputs:[| 1; 0; 0; 0; 0 |]
       ~seed:2L ()
   in
   Alcotest.(check bool) "completed despite starvation" true o.completed
@@ -182,7 +184,10 @@ let test_ben_or_agreement_byzantine () =
   for s = 1 to 15 do
     let o =
       ben_or_run
-        ~adversary:(Async_adv.ben_or_splitter ~rng:(Ba_prng.Rng.create (Int64.of_int (s * 13))))
+        ~adversary:
+          (Async_adv.of_strategy_ben_or
+             ~rng:(Ba_prng.Rng.create (Int64.of_int (s * 13)))
+             Strategy.async_splitter_point)
         ~inputs:(Array.init 11 (fun i -> i mod 2))
         ~seed:(Int64.of_int s) ()
     in
@@ -197,7 +202,9 @@ let test_ben_or_validity_under_attack () =
       for s = 1 to 6 do
         let o =
           ben_or_run
-            ~adversary:(Async_adv.ben_or_splitter ~rng:(Ba_prng.Rng.create (Int64.of_int s)))
+            ~adversary:
+              (Async_adv.of_strategy_ben_or ~rng:(Ba_prng.Rng.create (Int64.of_int s))
+                 Strategy.async_splitter_point)
             ~inputs:(Array.make 11 b) ~seed:(Int64.of_int s) ()
         in
         Alcotest.(check bool) "clean" true (o.completed && validity o)
@@ -206,7 +213,8 @@ let test_ben_or_validity_under_attack () =
 
 let test_ben_or_delayer_liveness () =
   let o =
-    ben_or_run ~adversary:(Async_adv.delayer ~victims:[ 0; 1; 2 ])
+    ben_or_run
+      ~adversary:(Async_adv.of_strategy (Strategy.async_delayer_point ~victims:[ 0; 1; 2 ]))
       ~inputs:(Array.init 11 (fun i -> i mod 2)) ~seed:9L ()
   in
   Alcotest.(check bool) "terminates despite starvation" true o.completed
@@ -248,7 +256,9 @@ let test_ben_or_balancer_scheduling_attack () =
   in
   let fifo = total (fun _ -> Async_engine.fifo) in
   let balancer =
-    total (fun s -> Async_adv.ben_or_balancer ~rng:(Ba_prng.Rng.create (Int64.of_int s)))
+    total (fun s ->
+        Async_adv.of_strategy_ben_or ~rng:(Ba_prng.Rng.create (Int64.of_int s))
+          Strategy.async_balancer_point)
   in
   Alcotest.(check bool)
     (Printf.sprintf "balancer %d > fifo %d deliveries" balancer fifo)

@@ -42,7 +42,9 @@ let test_random_scheduler () =
 
 let test_delayed_broadcaster () =
   let o =
-    run ~adversary:(Async_adv.delayer ~victims:[ 0 ]) ~broadcaster:0 ~value:1 ~seed:3L ()
+    run
+      ~adversary:(Async_adv.of_strategy (Ba_adversary.Strategy.async_delayer_point ~victims:[ 0 ]))
+      ~broadcaster:0 ~value:1 ~seed:3L ()
   in
   Alcotest.(check bool) "totality despite starvation" true o.completed
 

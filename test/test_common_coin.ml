@@ -72,7 +72,9 @@ let test_splitter_splits_when_affordable () =
   for s = 1 to 50 do
     let o =
       run_coin
-        ~adversary:(Ba_adversary.Coin_adv.splitter ~designated:(fun _ -> true))
+        ~adversary:
+          (Ba_adversary.Strategy.to_coin Ba_adversary.Strategy.coin_splitter_point
+             ~designated:(fun _ -> true))
         ~protocol:Ba_core.Common_coin.algorithm1 ~n ~t:5 ~seed:(Int64.of_int s) ()
     in
     if not (Ba_sim.Engine.agreement_holds o) then incr split_count
@@ -165,7 +167,9 @@ let prop_model_matches_engine =
       let budget = max 1 (int_of_float (sqrt (float_of_int n)) / 2) in
       let o =
         run_coin
-          ~adversary:(Ba_adversary.Coin_adv.splitter ~designated:(fun _ -> true))
+          ~adversary:
+          (Ba_adversary.Strategy.to_coin Ba_adversary.Strategy.coin_splitter_point
+             ~designated:(fun _ -> true))
           ~protocol:Ba_core.Common_coin.algorithm1 ~n ~t:budget ~seed ()
       in
       (* Reconstruct the pre-corruption flips. *)

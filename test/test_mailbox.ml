@@ -6,6 +6,7 @@
 
 open Ba_async
 module Rng = Ba_prng.Rng
+module Strategy = Ba_adversary.Strategy
 module Faults = Ba_sim.Faults
 module Metrics = Ba_sim.Metrics
 
@@ -234,9 +235,11 @@ let prop_policy_vs_opaque =
     (fun seed ->
       let advs =
         [ (fun () -> Async_engine.fifo);
-          (fun () -> Async_adv.delayer ~victims:[ 0; 3 ]);
+          (fun () -> Async_adv.of_strategy (Strategy.async_delayer_point ~victims:[ 0; 3 ]));
           (fun () -> Async_adv.random_scheduler ~rng:(Rng.create (Int64.add seed 7L)));
-          (fun () -> Async_adv.ben_or_balancer ~rng:(Rng.create (Int64.add seed 9L))) ]
+          (fun () ->
+            Async_adv.of_strategy_ben_or ~rng:(Rng.create (Int64.add seed 9L))
+              Strategy.async_balancer_point) ]
       in
       List.for_all
         (fun mk ->

@@ -1,6 +1,8 @@
-(* Strategy IR (DESIGN.md §16): the legacy adversary constructors must be
-   byte-identical to the direct lowering of their catalog points, the
-   fault-plan silence lowering must reproduce E19's wave construction, and
+(* Strategy IR (DESIGN.md §16): the remaining named constructors must be
+   byte-identical to the direct lowering of their catalog points, and the
+   other crash points must keep their pinned schedules (test_setups pins
+   whole runs of every named kind); the fault-plan silence lowering must
+   reproduce E19's wave construction, and
    Generic.capped must respect its budget under seed-derived corruption
    timing (QCheck), diverging from the uncapped run only once the cap
    binds. *)
@@ -45,13 +47,13 @@ let drive adv ~n ~t ~rounds =
         action.Adv.corrupt;
       action.Adv.corrupt)
 
-(* --- legacy wrappers vs direct IR lowering (view-level identity) --- *)
+(* --- wrappers vs direct IR lowering (view-level identity) --- *)
 
-let check_same_schedule name legacy lowered =
+let check_same_schedule name wrapper lowered =
   let n = 10 and t = 4 and rounds = 6 in
   Alcotest.(check (list (list int)))
     (name ^ " corrupt schedule")
-    (drive legacy ~n ~t ~rounds)
+    (drive wrapper ~n ~t ~rounds)
     (drive lowered ~n ~t ~rounds)
 
 let test_generic_identity () =
@@ -59,14 +61,26 @@ let test_generic_identity () =
   check_same_schedule "static-crash"
     (Ba_adversary.Generic.static_crash ~rng:(Rng.create seed))
     (Strategy.to_generic ~rng:(Rng.create seed) Strategy.static_crash_point);
-  check_same_schedule "staggered-crash-2"
-    (Ba_adversary.Generic.staggered_crash ~rng:(Rng.create seed) ~per_round:2)
+  (* Points with no wrapper left: their schedules as the wrappers drew
+     them. *)
+  let pinned name expected lowered =
+    Alcotest.(check (list (list int)))
+      (name ^ " corrupt schedule")
+      expected
+      (drive lowered ~n:10 ~t:4 ~rounds:6)
+  in
+  pinned "staggered-crash-2"
+    [ [ 4; 0 ]; [ 6; 2 ]; []; []; []; [] ]
     (Strategy.to_generic ~rng:(Rng.create seed) (Strategy.staggered_crash_point ~per_round:2));
-  check_same_schedule "crash-at-3"
-    (Ba_adversary.Generic.crash_at ~round:3 ~victims:[ 1; 2 ])
+  pinned "crash-at-3"
+    [ []; []; [ 1; 2 ]; []; []; [] ]
     (Strategy.to_generic (Strategy.crash_at_point ~round:3 ~victims:[ 1; 2 ]))
 
-(* --- legacy kinds vs Ir genomes (engine-level identity) --- *)
+(* --- named kinds vs Ir genomes (engine-level identity) ---
+
+   Setups maps each named kind to the genome listed here, so this only
+   checks that mapping; the known-answer table in test_setups is what
+   catches a drift in the runs themselves. *)
 
 let engine_pairs : (string * Ba_experiments.Setups.adversary_kind * Strategy.genome) list =
   [ ("silent", Silent, Strategy.silent_point);
